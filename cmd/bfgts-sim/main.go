@@ -159,6 +159,20 @@ func main() {
 			reports = harness.RunAll(r, []harness.Experiment{e})
 		}
 	}
+	// A deadlocked cell makes every number derived from it meaningless:
+	// say which cells, print no tables, fail.
+	seen := map[string]bool{}
+	for _, rep := range reports {
+		for _, d := range rep.Deadlocked {
+			if !seen[d] {
+				seen[d] = true
+				fmt.Fprintln(os.Stderr, "bfgts-sim:", d)
+			}
+		}
+	}
+	if len(seen) > 0 {
+		os.Exit(1)
+	}
 	for _, rep := range reports {
 		fmt.Println(rep.Render())
 	}
@@ -207,6 +221,11 @@ func singleRun(cfg harness.Config, bench, manager string, bloom int, traceFile, 
 		reg = metrics.New()
 	}
 	res := r.RunInstrumented(f, spec, rec, reg)
+	if res.Deadlocked != nil {
+		fmt.Fprintf(os.Stderr, "bfgts-sim: %s under %s: %v (%d commits so far)\n",
+			res.WorkloadName, res.ManagerName, res.Deadlocked, res.Commits)
+		os.Exit(1)
+	}
 	fmt.Printf("%s on %s: speedup %.2fx over one core, contention %.1f%%\n",
 		res.ManagerName, res.WorkloadName, r.Speedup(f, res), res.ContentionPct())
 	if rec != nil {

@@ -47,6 +47,9 @@ var gateEntryPoints = map[string][]string{
 		"decShard", "decNow",
 		"predictDir", "predictLinear", "onRunning", "setRunning",
 	},
+	"stamp": { // TestStampNextAllocFree
+		"Next", "tx", "read", "write", "readSpan", "build", "onCommit",
+	},
 	"decision": { // TestDecisionHotPathAllocFree / TestDecisionRecordingAllocFreeLive
 		"Add", "SetWait", "Resolve", "SetEnemy", "Shard",
 	},

@@ -64,6 +64,7 @@ var pinnedPackages = []string{
 	"internal/bloofi",
 	"internal/decision",
 	"internal/workload",
+	"internal/stamp",
 }
 
 // isPinnedImportPath matches a package (or its test variants) against

@@ -123,14 +123,22 @@ func RunAll(r *Runner, exps []Experiment) []*Report {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if e.Warm != nil {
-				e.Warm(r)
-			}
-			reports[i] = e.Run(r)
+			reports[i] = runExperiment(e, r)
 		}()
 	}
 	wg.Wait()
 	return reports
+}
+
+// runExperiment warms and runs one experiment on r, and flags the report
+// if the session has had to refuse a deadlocked cell.
+func runExperiment(e Experiment, r *Runner) *Report {
+	if e.Warm != nil {
+		e.Warm(r)
+	}
+	rep := e.Run(r)
+	rep.Deadlocked = r.refusedCells()
+	return rep
 }
 
 // warmTable1 schedules Table 1's profiled baseline runs.

@@ -154,6 +154,7 @@ type Runner struct {
 	mu       sync.Mutex
 	cache    map[runKey]*cacheEntry
 	decCache map[runKey]*decCacheEntry
+	refused  []string // cells that deadlocked, one diagnostic line each
 }
 
 // NewRunner returns a fresh experiment session with its own worker pool
@@ -174,6 +175,31 @@ func newRunnerPool(cfg Config, pool *Pool) *Runner {
 		cache:    make(map[runKey]*cacheEntry),
 		decCache: make(map[runKey]*decCacheEntry),
 	}
+}
+
+// refuse keeps a deadlocked simulation out of the session's books. Its
+// Result is a diagnostic, not a measurement: uncache (if any) drops the
+// memo entry so a later request simulates again instead of being served
+// the partial counts, and the cell is noted for the session's reports
+// (Report.Deadlocked).
+func (r *Runner) refuse(key runKey, res *sim.Result, uncache func()) {
+	if res.Deadlocked == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if uncache != nil {
+		uncache()
+	}
+	r.refused = append(r.refused, fmt.Sprintf("%s under %s (cores=%d tpc=%d seed=%d): %v",
+		key.bench, key.manager, key.cores, key.tpc, key.seed, res.Deadlocked))
+}
+
+// refusedCells returns the diagnostics of every cell refused so far.
+func (r *Runner) refusedCells() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.refused...)
 }
 
 // Run simulates one (benchmark, manager) cell, memoizing by configuration.
@@ -221,6 +247,7 @@ func (r *Runner) RunInstrumented(f workload.Factory, m ManagerSpec, rec *trace.R
 		}).Run()
 	})
 	res.ManagerName = m.Name
+	r.refuse(runKey{bench: f.Name(), manager: m.Name, cores: r.cfg.Cores, tpc: r.cfg.ThreadsPerCore, seed: r.cfg.Seed}, res, nil)
 	return res
 }
 
@@ -260,6 +287,7 @@ func (r *Runner) RunDecisions(f workload.Factory, m ManagerSpec) (*sim.Result, *
 		res.ManagerName = m.Name
 		e.res, e.set = res, set
 	})
+	r.refuse(key, e.res, func() { delete(r.decCache, key) })
 	return e.res, e.set
 }
 
@@ -323,6 +351,7 @@ func (r *Runner) runAt(f workload.Factory, m ManagerSpec, cores, tpc int, profil
 		res.ManagerName = m.Name // keep the spec name (includes Bloom size)
 		e.res = res
 	})
+	r.refuse(key, e.res, func() { delete(r.cache, key) })
 	if r.cfg.Progress != nil {
 		r.cfg.Progress(fmt.Sprintf("%-10s %-22s cores=%-2d tpc=%d seed=%d  %8.2f Mcycles",
 			key.bench, key.manager, key.cores, key.tpc, key.seed, float64(e.res.Makespan)/1e6))

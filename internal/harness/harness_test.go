@@ -244,3 +244,49 @@ func TestScalingExperimentShape(t *testing.T) {
 			rep.Values["speedup_16_BFGTS-HW/2048b"], rep.Values["speedup_16_Backoff"])
 	}
 }
+
+// parkOnce blocks thread 0's first begin and never wakes it, so the cell's
+// events drain with a thread still parked.
+type parkOnce struct {
+	sched.Manager
+	parked bool
+}
+
+func (m *parkOnce) OnBegin(tid, stx int) sched.BeginResult {
+	if tid == 0 && !m.parked {
+		m.parked = true
+		return sched.BeginResult{Action: sched.Block}
+	}
+	return m.Manager.OnBegin(tid, stx)
+}
+
+// A deadlocked cell is not a measurement: the session does not memoize it
+// and flags every report produced after it.
+func TestDeadlockedCellIsRefused(t *testing.T) {
+	cfg := Config{Cores: 2, ThreadsPerCore: 2, Seed: 1, Scale: 0.01, Workers: 1}
+	r := NewRunner(cfg)
+	f, _ := stamp.ByName("kmeans")
+	sims := 0
+	parker := ManagerSpec{Name: "parker", New: func(env sched.Env) sched.Manager {
+		sims++
+		return &parkOnce{Manager: sched.NewBackoff(env)}
+	}}
+	first, second := r.Run(f, parker, false), r.Run(f, parker, false)
+	if first.Deadlocked == nil || second.Deadlocked == nil {
+		t.Fatal("a run with a thread parked for good reported no deadlock")
+	}
+	if sims != 2 || first == second {
+		t.Fatalf("deadlocked cell was served from the cache (%d simulations)", sims)
+	}
+	healthy := BaselineSpecs()[0]
+	if a, b := r.Run(f, healthy, false), r.Run(f, healthy, false); a != b || a.Deadlocked != nil {
+		t.Fatal("healthy cell not memoized")
+	}
+	rep := runExperiment(Experiment{ID: "x", Run: func(*Runner) *Report { return &Report{ID: "x"} }}, r)
+	if len(rep.Deadlocked) != 2 || !strings.Contains(rep.Deadlocked[0], "kmeans under parker") {
+		t.Fatalf("report not flagged: %q", rep.Deadlocked)
+	}
+	if clean := runExperiment(Experiment{ID: "y", Run: func(*Runner) *Report { return &Report{ID: "y"} }}, NewRunner(cfg)); clean.Deadlocked != nil {
+		t.Fatalf("clean session flagged: %q", clean.Deadlocked)
+	}
+}

@@ -28,11 +28,7 @@ func MultiSeed(exp Experiment, cfg Config, n int) *Report {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := newRunnerPool(c, pool)
-			if exp.Warm != nil {
-				exp.Warm(r)
-			}
-			reps[i] = exp.Run(r)
+			reps[i] = runExperiment(exp, newRunnerPool(c, pool))
 		}()
 	}
 	wg.Wait()
@@ -52,6 +48,9 @@ func MultiSeed(exp Experiment, cfg Config, n int) *Report {
 		Title:   fmt.Sprintf("%s across %d seeds (mean ± sd)", exp.Description, n),
 		Columns: []string{"Value", "Mean", "StdDev", "Min", "Max"},
 		Values:  map[string]float64{},
+	}
+	for _, rep := range reps {
+		out.Deadlocked = append(out.Deadlocked, rep.Deadlocked...)
 	}
 	keys := make([]string, 0, len(agg))
 	for k := range agg {

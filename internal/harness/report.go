@@ -15,6 +15,10 @@ type Report struct {
 	Notes   []string
 	// Values holds named scalar results, e.g. "avg_improvement_over_pts".
 	Values map[string]float64
+	// Deadlocked lists, one diagnostic line each, the cells of the session
+	// whose simulation stopped with threads still parked. When it is
+	// non-empty the report's numbers are not results.
+	Deadlocked []string
 }
 
 // Render formats the report as an ASCII table.

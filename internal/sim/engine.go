@@ -12,6 +12,8 @@
 // single-threaded and event ties break on insertion order.
 package sim
 
+import "sync"
+
 // Handle names a long-lived func() registered with an engine via
 // Register. Scheduling by handle keeps the event heap free of pointers,
 // so sift operations are plain memmoves with no GC write barriers — the
@@ -57,6 +59,7 @@ func NewEngine() *Engine {
 	e := &Engine{}
 	e.now = &e.ownNow
 	e.seq = &e.ownSeq
+	e.events.ev = getEventBuf()
 	return e
 }
 
@@ -67,7 +70,28 @@ func NewEngine() *Engine {
 // 12 one cycle from now") lands at the right absolute time even when the
 // target lane has not fired an event for a while.
 func NewLaneEngine(clock *int64, seq *uint64) *Engine {
-	return &Engine{now: clock, seq: seq}
+	return &Engine{now: clock, seq: seq, events: eventHeap{ev: getEventBuf()}}
+}
+
+// eventBufPool carries event-heap backing arrays from one engine to the
+// next. A heap's depth is set by the run, not the thread count (stale
+// generation-guarded checks pile up by the thousand), so a sweep of short
+// simulations would otherwise regrow it from zero in every cell.
+var eventBufPool sync.Pool // of *[]event
+
+func getEventBuf() []event {
+	if p, ok := eventBufPool.Get().(*[]event); ok {
+		return *p
+	}
+	return nil
+}
+
+// Release hands the engine's event storage to the next engine. The engine
+// must not schedule or fire events afterwards.
+func (e *Engine) Release() {
+	buf := e.events.ev[:0]
+	e.events.ev = nil
+	eventBufPool.Put(&buf)
 }
 
 // Now returns the current simulated time in cycles.

@@ -46,6 +46,7 @@ type Thread struct {
 
 	dispatchedAt  int64 // when it last got the core (for quantum)
 	pendingKernel int64 // kernel cycles to charge at next dispatch (wake cost)
+	wakePending   bool  // a wake arrived before the block it answers
 }
 
 // Charge adds d cycles of category c to the thread's account.
@@ -58,6 +59,7 @@ type coreState struct {
 	idleSince int64
 	idle      int64
 	everBusy  bool
+	switchIn  Handle // completes the context switch to current
 }
 
 // Machine models the CPUs and the OS scheduler. The runner interacts with
@@ -80,7 +82,9 @@ type Machine struct {
 func NewMachine(eng *Engine, nCores int, costs OSCosts) *Machine {
 	m := &Machine{Eng: eng, Costs: costs}
 	for i := 0; i < nCores; i++ {
-		m.cores = append(m.cores, &coreState{id: i})
+		c := &coreState{id: i}
+		c.switchIn = eng.Register(func() { m.switchedIn(c) })
+		m.cores = append(m.cores, c)
 	}
 	return m
 }
@@ -128,13 +132,17 @@ func (m *Machine) dispatch(c *coreState) {
 	cost := m.Costs.ContextSwitch + t.pendingKernel
 	t.pendingKernel = 0
 	t.Charge(CatKernel, cost)
-	m.Eng.After(cost, func() {
-		if c.current != t { // exited or preempted during switch-in (should not happen)
-			return
-		}
-		t.dispatchedAt = m.Eng.Now()
-		m.OnDispatch(t)
-	})
+	m.Eng.AfterHandle(cost, c.switchIn)
+}
+
+// switchedIn runs once the context switch to c.current has been paid for.
+// The thread cannot have left the core in between: only a running thread's
+// own continuation yields, blocks, exits or is preempted, and that
+// continuation starts here.
+func (m *Machine) switchedIn(c *coreState) {
+	t := c.current
+	t.dispatchedAt = m.Eng.Now()
+	m.OnDispatch(t)
 }
 
 // release takes the current thread off its core and dispatches the next.
@@ -161,18 +169,29 @@ func (m *Machine) ThreadYield(t *Thread) {
 }
 
 // ThreadBlock models a futex wait: the running thread leaves the core and
-// will not run again until ThreadWake.
+// will not run again until ThreadWake. If the wake already arrived (see
+// ThreadWake) the wait returns at once: the thread pays for the block and
+// the wake and rejoins its core's ready queue.
 func (m *Machine) ThreadBlock(t *Thread) {
 	t.Charge(CatKernel, m.Costs.Block)
 	t.State = ThBlocked
 	m.release(t)
+	if t.wakePending {
+		t.wakePending = false
+		m.ThreadWake(t)
+	}
 }
 
-// ThreadWake makes a blocked thread ready. Waking a thread that is not
-// blocked is a no-op (spurious wakes are allowed). The futex-wake cost is
-// charged to the woken thread at its next dispatch.
+// ThreadWake makes a blocked thread ready. The futex-wake cost is charged
+// to the woken thread at its next dispatch. A wake that finds its thread
+// still on the way to ThreadBlock — the waker ran inside the window between
+// the thread's decision to sleep and the sleep itself — is remembered and
+// consumed by that ThreadBlock, as a futex's value check does; dropping it
+// would leave the thread asleep for good. Waking a finished thread is a
+// no-op.
 func (m *Machine) ThreadWake(t *Thread) {
 	if t.State != ThBlocked {
+		t.wakePending = t.State != ThDone
 		return
 	}
 	t.State = ThReady

@@ -104,11 +104,36 @@ func TestMachineBlockWake(t *testing.T) {
 	}
 }
 
+// A wake that overtakes the block it answers is consumed by that block:
+// the thread pays for both and comes straight back instead of sleeping
+// forever.
+func TestMachineWakeBeforeBlockIsRemembered(t *testing.T) {
+	e, m, r := newHarness(1)
+	a := m.AddThread(0)
+	resumed := false
+	r.steps[a.ID] = []func(*Thread){
+		func(t *Thread) {
+			m.ThreadWake(t) // the waker got there first
+			m.ThreadBlock(t)
+		},
+		func(t *Thread) { resumed = true; m.ThreadExit(t) },
+	}
+	m.Start()
+	e.Run(nil)
+	if !resumed || a.State != ThDone {
+		t.Fatalf("thread slept through a wake that preceded its block (state %v)", a.State)
+	}
+	// Two context switches (10 each), the block (7) and the wake (7).
+	if a.Acct[CatKernel] != 34 {
+		t.Fatalf("kernel cycles = %d, want 34 (block + wake + two switches)", a.Acct[CatKernel])
+	}
+}
+
 func TestMachineWakeNonBlockedIsNoop(t *testing.T) {
 	e, m, r := newHarness(1)
 	a := m.AddThread(0)
 	r.steps[a.ID] = []func(*Thread){func(t *Thread) {
-		m.ThreadWake(t) // running, must be ignored
+		m.ThreadWake(t) // running: nothing to make ready
 		m.ThreadExit(t)
 	}}
 	m.Start()

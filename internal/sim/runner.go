@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"repro/internal/bloom"
@@ -179,9 +181,42 @@ type Result struct {
 	// TimedOut reports the MaxCycles guard fired before completion.
 	TimedOut bool
 
+	// Deadlocked is non-nil when the run stopped with work left: every
+	// event heap drained while threads were still alive, so nothing could
+	// ever run them again. Such a Result is a diagnostic, not a
+	// measurement — its counts are whatever had happened by then.
+	Deadlocked *Deadlock `json:",omitempty"`
+
 	// Metrics is the final snapshot of the run's registry (nil when
 	// RunConfig.Metrics was nil).
 	Metrics *metrics.Snapshot
+}
+
+// Deadlock lists the threads a drained simulation left behind.
+type Deadlock struct {
+	Parked []ParkedThread
+}
+
+// ParkedThread is one live thread of a deadlocked run and what it was
+// waiting in: its OS state (ready, running, blocked) and, when it was
+// spinning inside the TM, on what.
+type ParkedThread struct {
+	Tid  int
+	Wait string
+}
+
+// Error renders the deadlock as a one-line diagnostic.
+func (d *Deadlock) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "simulation deadlocked: event heap drained with %d live thread(s):", len(d.Parked))
+	for i, p := range d.Parked {
+		if i == 8 {
+			fmt.Fprintf(&b, " … (%d more)", len(d.Parked)-i)
+			break
+		}
+		fmt.Fprintf(&b, " t%d %s;", p.Tid, p.Wait)
+	}
+	return b.String()
 }
 
 // ContentionPct is Table 4's metric: the percentage of transaction
@@ -232,6 +267,14 @@ type threadCtx struct {
 	holder     *tm.Tx // line-stall target
 	waitDTx    int    // begin-spin target
 	chargeMark int64  // start of the current spin charging interval
+
+	// Threads waiting out this thread's current transaction, in arrival
+	// order: NACKed requesters spinning on one of its lines, and begins
+	// spinning behind its dTxID. A thread runs one transaction at a time
+	// and the lists empty when it ends, so they hang off the thread and
+	// keep their capacity from one transaction to the next.
+	stallWaiters []*threadCtx
+	beginWaiters []*threadCtx
 
 	// Variant data for the cached continuations below: the pending begin
 	// decision and beginSpin's (target, grace) arguments. At most one
@@ -435,9 +478,6 @@ type domainState struct {
 
 	cpuSlot []int
 
-	stallWaiters map[*tm.Tx][]*threadCtx
-	beginWaiters map[int][]*threadCtx
-
 	simSum        []float64
 	simCnt        []int64
 	commitsPerStx []int64
@@ -572,8 +612,6 @@ func NewRunner(cfg RunConfig) *Runner {
 		dom := &domainState{
 			sys:           tm.NewSystem(nStatic),
 			cpuSlot:       make([]int, cfg.Cores),
-			stallWaiters:  make(map[*tm.Tx][]*threadCtx),
-			beginWaiters:  make(map[int][]*threadCtx),
 			simSum:        make([]float64, nStatic),
 			simCnt:        make([]int64, nStatic),
 			commitsPerStx: make([]int64, nStatic),
@@ -752,6 +790,11 @@ func (r *Runner) dtxOf(ctx *threadCtx) int {
 	return ctx.tid*r.cfg.Workload.NumStatic() + ctx.desc.STx
 }
 
+// ownerOfDTx is the thread a packed dTxID belongs to.
+func (r *Runner) ownerOfDTx(dtx int) *threadCtx {
+	return r.ctxs[dtx/r.cfg.Workload.NumStatic()]
+}
+
 // stxOfDTx decodes the static transaction ID from a packed dTxID (-1 in,
 // -1 out).
 func (r *Runner) stxOfDTx(dtx int) int {
@@ -903,13 +946,20 @@ func (r *Runner) maybePreempt(ctx *threadCtx) bool {
 	return true
 }
 
-// fetchNext pulls the next (non-tx, tx) pair from the program.
+// fetchNext pulls the next (non-tx, tx) pair from the program. ctx.desc is
+// the only reference the runner keeps to a descriptor, and this is the only
+// place it changes: the previous execution committed before its
+// continuation reached here, so the program is free to recycle the
+// descriptor (the workload.Program lifetime rule). Everything that outlives
+// the execution — trace events, decision records, the TM's line sets —
+// holds copies of the fields it needs.
 func (r *Runner) fetchNext(ctx *threadCtx) {
 	pre, desc, ok := ctx.prog.Next()
 	if !ok {
 		if ctx.tx != nil {
 			panic("sim: program finished with open transaction")
 		}
+		ctx.desc = nil
 		ctx.lane.mac.ThreadExit(ctx.th)
 		if ctx.lane.mac.LiveThreads() == 0 {
 			ctx.lane.makespan = ctx.lane.eng.Now()
@@ -1128,7 +1178,8 @@ func (r *Runner) beginSpin(ctx *threadCtx, waitDTx, grace int) {
 	ctx.waitGen++
 	ctx.waitDTx = waitDTx
 	ctx.chargeMark = eng.Now()
-	ctx.dom.beginWaiters[waitDTx] = append(ctx.dom.beginWaiters[waitDTx], ctx)
+	owner := r.ownerOfDTx(waitDTx)
+	owner.beginWaiters = append(owner.beginWaiters, ctx)
 	r.scheduleBeginSpinCheck(ctx, ctx.waitGen)
 }
 
@@ -1167,13 +1218,20 @@ func (r *Runner) beginSpinCheck(ctx *threadCtx, gen uint64) {
 }
 
 func (r *Runner) dropBeginWaiter(ctx *threadCtx) {
-	ws := ctx.dom.beginWaiters[ctx.waitDTx]
-	for i, c := range ws {
-		if c == ctx {
-			ctx.dom.beginWaiters[ctx.waitDTx] = append(ws[:i], ws[i+1:]...)
-			return
+	owner := r.ownerOfDTx(ctx.waitDTx)
+	owner.beginWaiters = dropWaiter(owner.beginWaiters, ctx)
+}
+
+// dropWaiter removes c from a waiter list, keeping arrival order.
+func dropWaiter(ws []*threadCtx, c *threadCtx) []*threadCtx {
+	for i := range ws {
+		if ws[i] == c {
+			copy(ws[i:], ws[i+1:])
+			ws[len(ws)-1] = nil
+			return ws[:len(ws)-1]
 		}
 	}
+	return ws
 }
 
 // chargeSpin charges the elapsed spin interval to a category and resets
@@ -1358,7 +1416,8 @@ func (r *Runner) lineStall(ctx *threadCtx, holder *tm.Tx) {
 		})
 		ctx.decStallStart = eng.Now()
 	}
-	ctx.dom.stallWaiters[holder] = append(ctx.dom.stallWaiters[holder], ctx)
+	owner := r.ctxs[holder.Thread]
+	owner.stallWaiters = append(owner.stallWaiters, ctx)
 	budget := r.cfg.TMCosts.StallTimeout
 	if sp, ok := ctx.dom.mgr.(sched.StallPolicy); ok {
 		budget = sp.StallBudget(sched.StallInfo{
@@ -1399,13 +1458,8 @@ func (r *Runner) stallTimeout(ctx *threadCtx, gen uint64) {
 }
 
 func (r *Runner) dropStallWaiter(ctx *threadCtx) {
-	ws := ctx.dom.stallWaiters[ctx.holder]
-	for i, c := range ws {
-		if c == ctx {
-			ctx.dom.stallWaiters[ctx.holder] = append(ws[:i], ws[i+1:]...)
-			return
-		}
-	}
+	owner := r.ctxs[ctx.holder.Thread]
+	owner.stallWaiters = dropWaiter(owner.stallWaiters, ctx)
 }
 
 // decSettleStall settles the thread's pending NACK-stall record, if any.
@@ -1422,8 +1476,10 @@ func (r *Runner) decSettleStall(ctx *threadCtx, o decision.Outcome) {
 // access, begin spins retry the begin). Waiters are woken on their own
 // lane's engine; entangled lanes share the clock, so the +1 lands at the
 // same absolute instant regardless of which lane the committer ran on.
-func (r *Runner) onTxReleased(dom *domainState, tx *tm.Tx) {
-	for _, ctx := range dom.stallWaiters[tx] {
+func (r *Runner) onTxReleased(tx *tm.Tx) {
+	owner := r.ctxs[tx.Thread]
+	for i, ctx := range owner.stallWaiters {
+		owner.stallWaiters[i] = nil
 		if ctx.state != stLineStall || ctx.holder != tx {
 			continue
 		}
@@ -1434,9 +1490,10 @@ func (r *Runner) onTxReleased(dom *domainState, tx *tm.Tx) {
 		ctx.holder = nil
 		ctx.lane.eng.AfterHandle(1, ctx.hStepAccess) // retry the same access
 	}
-	delete(dom.stallWaiters, tx)
+	owner.stallWaiters = owner.stallWaiters[:0]
 
-	for _, ctx := range dom.beginWaiters[tx.DTx] {
+	for i, ctx := range owner.beginWaiters {
+		owner.beginWaiters[i] = nil
 		if ctx.state != stBeginSpin || ctx.waitDTx != tx.DTx {
 			continue
 		}
@@ -1446,7 +1503,7 @@ func (r *Runner) onTxReleased(dom *domainState, tx *tm.Tx) {
 		ctx.waitDTx = core.NoTx
 		ctx.lane.eng.AfterHandle(1, ctx.hTryBegin)
 	}
-	delete(dom.beginWaiters, tx.DTx)
+	owner.beginWaiters = owner.beginWaiters[:0]
 }
 
 // onRemoteDoom is tm.System's hook: a transaction other than the requester
@@ -1501,7 +1558,7 @@ func (r *Runner) finishCommit(ctx *threadCtx) {
 	r.emit(ctx, trace.KCommit, -1, -1, ctx.lane.eng.Now()-ctx.execStart)
 	ctx.tx = nil
 	r.setSlot(dom, r.cpuOf(ctx), core.NoTx)
-	r.onTxReleased(dom, tx)
+	r.onTxReleased(tx)
 
 	overhead := dom.mgr.OnCommit(ctx.tid, ctx.desc.STx, ctx.linesBuf, ctx.writesBuf, size)
 	dom.mgr.OnTxEnded(ctx.tid, ctx.desc.STx, true)
@@ -1587,7 +1644,7 @@ func (r *Runner) finishAbort(ctx *threadCtx) {
 	dom.sys.Abort(tx)
 	ctx.tx = nil
 	r.setSlot(dom, r.cpuOf(ctx), core.NoTx)
-	r.onTxReleased(dom, tx)
+	r.onTxReleased(tx)
 
 	ab := dom.mgr.OnAbort(ctx.tid, ctx.desc.STx, tx.DoomedByTid, tx.DoomedByStx, ctx.attempts)
 	dom.mgr.OnTxEnded(ctx.tid, ctx.desc.STx, false)
@@ -1695,6 +1752,9 @@ func (r *Runner) buildResult() *Result {
 		Makespan:     makespan,
 		TimedOut:     timedOut,
 	}
+	if !timedOut && r.liveThreads() > 0 {
+		res.Deadlocked = r.parked()
+	}
 	if len(r.doms) == 1 {
 		dom := r.doms[0]
 		res.Commits = dom.sys.Commits()
@@ -1757,13 +1817,43 @@ func (r *Runner) buildResult() *Result {
 		}
 		res.Metrics = r.cfg.Metrics.Snapshot()
 	}
-	// The run is over: hand each thread's scratch back to the pool so the
-	// next Runner (possibly on another goroutine) can reuse the buffers.
+	// The run is over: hand each thread's scratch and each lane's event
+	// storage back to their pools so the next Runner (possibly on another
+	// goroutine) can reuse the buffers.
 	for _, ctx := range r.ctxs {
 		if ctx.ctxScratch != nil {
 			ctx.ctxScratch.release()
 			ctx.ctxScratch = nil
 		}
 	}
+	for _, ln := range r.lanes {
+		ln.eng.Release()
+	}
 	return res
+}
+
+// parked describes every thread that has not exited, for Result.Deadlocked.
+func (r *Runner) parked() *Deadlock {
+	d := &Deadlock{}
+	for _, ctx := range r.ctxs {
+		var wait string
+		switch ctx.th.State {
+		case ThDone:
+			continue
+		case ThBlocked:
+			wait = "blocked"
+		case ThReady:
+			wait = "ready"
+		default:
+			wait = "running"
+		}
+		switch ctx.state {
+		case stBeginSpin:
+			wait += fmt.Sprintf(", begin-spin behind dtx %d", ctx.waitDTx)
+		case stLineStall:
+			wait += fmt.Sprintf(", line-stall behind t%d", ctx.holder.Thread)
+		}
+		d.Parked = append(d.Parked, ParkedThread{Tid: ctx.tid, Wait: wait})
+	}
+	return d
 }

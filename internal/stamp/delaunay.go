@@ -27,19 +27,22 @@ type Delaunay struct {
 
 	cavity int // cavity footprint in lines
 	popped int
+	onPop  func() // popWork's commit side effect, bound once
 }
 
 // NewDelaunay returns the delaunay factory at its default scale.
 func NewDelaunay() workload.Factory {
 	return workload.NewFactory("delaunay", 15000, func(total int) workload.Workload {
 		sp := workload.NewSpace()
-		return &Delaunay{
+		d := &Delaunay{
 			totalTxs: total,
 			mesh:     sp.Alloc("mesh", 256),
 			boundary: sp.Alloc("boundary", 16),
 			worklist: sp.Alloc("worklist", 6),
 			cavity:   8,
 		}
+		d.onPop = func() { d.popped++ }
+		return d
 	})
 }
 
@@ -53,27 +56,27 @@ func (d *Delaunay) NumStatic() int { return 4 }
 // pop-work, refine, insert, flip in a 1:2:1:2 rhythm.
 func (d *Delaunay) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	count := share(d.totalTxs, tid, nThreads)
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
 		switch i % 6 {
 		case 0:
-			return 500, d.popWork(rng)
+			return 500, d.popWork(b, rng)
 		case 1, 4:
-			return 350, d.refine(rng)
+			return 350, d.refine(b, rng)
 		case 2:
-			return 300, d.insert(rng)
+			return 300, d.insert(b, rng)
 		default:
-			return 350, d.flip(rng)
+			return 350, d.flip(b, rng)
 		}
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // refine (tx0): expand a cavity anchored near the boundary — Zipf-skewed
 // placement keeps revisiting popular regions (similarity ~0.64) and makes
 // concurrent cavities overlap.
-func (d *Delaunay) refine(rng *workload.RNG) *workload.TxDesc {
+func (d *Delaunay) refine(b *builder, rng *workload.RNG) *workload.TxDesc {
 	base := rng.Zipf(d.mesh.NumLines-d.cavity, 4.0)
-	b := newTx(0, 1400)
+	b.tx(0, 1400)
 	b.readSpan(d.boundary, 0, 8) // recurring anchor: the similarity floor
 	b.readSpan(d.mesh, base, d.cavity)
 	for j := 0; j < d.cavity; j++ {
@@ -86,9 +89,9 @@ func (d *Delaunay) refine(rng *workload.RNG) *workload.TxDesc {
 // insert (tx1): insert a point at a uniformly random mesh location —
 // fresh footprint every time (similarity ~0.04) but still through the
 // shared mesh and boundary, so it conflicts with everything transiently.
-func (d *Delaunay) insert(rng *workload.RNG) *workload.TxDesc {
+func (d *Delaunay) insert(b *builder, rng *workload.RNG) *workload.TxDesc {
 	base := rng.Intn(d.mesh.NumLines - 6)
-	b := newTx(1, 1000)
+	b.tx(1, 1000)
 	b.readSpan(d.mesh, base, 6)
 	b.read(d.boundary.Line(rng.Intn(d.boundary.NumLines)))
 	b.write(d.mesh.Line(base + 1))
@@ -107,9 +110,9 @@ func (d *Delaunay) insert(rng *workload.RNG) *workload.TxDesc {
 
 // flip (tx2): flip edges in a moderately popular region — between tx0 and
 // tx1 in both similarity (~0.56) and footprint.
-func (d *Delaunay) flip(rng *workload.RNG) *workload.TxDesc {
+func (d *Delaunay) flip(b *builder, rng *workload.RNG) *workload.TxDesc {
 	base := rng.Zipf(d.mesh.NumLines-4, 2.2)
-	b := newTx(2, 800)
+	b.tx(2, 800)
 	b.readSpan(d.boundary, 0, 4)
 	b.readSpan(d.mesh, base, 4)
 	b.write(d.mesh.Line(base))
@@ -127,11 +130,11 @@ func (d *Delaunay) flip(rng *workload.RNG) *workload.TxDesc {
 // popWork (tx3): pop the next bad triangle — the worklist cursors recur
 // every single execution (similarity ~0.90) and every concurrent pop
 // conflicts.
-func (d *Delaunay) popWork(rng *workload.RNG) *workload.TxDesc {
+func (d *Delaunay) popWork(b *builder, rng *workload.RNG) *workload.TxDesc {
 	q := d.popped
-	return newTx(3, 350).
+	return b.tx(3, 350).
 		readSpan(d.worklist, 0, 3).
 		write(d.worklist.Line(q % 2)).
-		onCommit(func() { d.popped++ }).
+		onCommit(d.onPop).
 		build()
 }

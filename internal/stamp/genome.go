@@ -59,19 +59,19 @@ func (g *Genome) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	n0 := count * 40 / 100
 	n1 := count * 25 / 100
 	n2 := count * 20 / 100
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
 		switch {
 		case i < n0:
-			return 1500, g.dedupInsert(tid, i, rng)
+			return 1500, g.dedupInsert(b, tid, i, rng)
 		case i < n0+n1:
-			return 1500, g.match(tid, rng)
+			return 1500, g.match(b, tid, rng)
 		case i < n0+n1+n2:
-			return 1000, g.chainLink(tid, rng)
+			return 1000, g.chainLink(b, tid, rng)
 		default:
-			return 1000, g.chainMerge(tid, rng)
+			return 1000, g.chainMerge(b, tid, rng)
 		}
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // dedupInsert (tx0): probe the hash bucket of a segment and claim it.
@@ -81,11 +81,11 @@ func (g *Genome) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 // high backoff contention), but the window keeps moving, so consecutive
 // inserts by one thread share almost nothing (similarity ~0.1) and the
 // conflicts are TRANSIENT — the case similarity-guided decay exists for.
-func (g *Genome) dedupInsert(tid, i int, rng *workload.RNG) *workload.TxDesc {
+func (g *Genome) dedupInsert(b *builder, tid, i int, rng *workload.RNG) *workload.TxDesc {
 	window := (i / 8 * 16) % g.nBuckets
 	bucket := (window + rng.Zipf(g.hotBuckets, 3.0)) % g.nBuckets
 	seg := rng.Intn(g.segments.NumLines - 2)
-	return newTx(0, 520).
+	return b.tx(0, 520).
 		read(g.buckets.Line(bucket)).
 		readSpan(g.segments, seg, 2).
 		write(g.buckets.Line(bucket)). // upgrade: claim the bucket
@@ -94,8 +94,8 @@ func (g *Genome) dedupInsert(tid, i int, rng *workload.RNG) *workload.TxDesc {
 
 // match (tx1): scan segments against a private scratch area — read-mostly,
 // conflict-free, modest similarity from re-reading the thread's scratch.
-func (g *Genome) match(tid int, rng *workload.RNG) *workload.TxDesc {
-	b := newTx(1, 420)
+func (g *Genome) match(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
+	b.tx(1, 420)
 	b.readSpan(g.segments, rng.Intn(g.segments.NumLines-8), 6)
 	// One line of the thread's scratch recurs (similarity ~0.2).
 	own := tid * 64
@@ -107,12 +107,12 @@ func (g *Genome) match(tid int, rng *workload.RNG) *workload.TxDesc {
 // chainLink (tx2): extend a chain under the shared chain header. The
 // header block recurs every execution (high similarity) and is also
 // touched by chainMerge, giving the tx2–tx3 conflict edge.
-func (g *Genome) chainLink(tid int, rng *workload.RNG) *workload.TxDesc {
+func (g *Genome) chainLink(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	// Header lines 8+ are read-only metadata (the dedup phase reads line
 	// 11); chain transactions only write the mutable prefix.
 	hdr := rng.Intn(3)
 	cell := rng.Intn(g.chain.NumLines)
-	return newTx(2, 300).
+	return b.tx(2, 300).
 		readSpan(g.chainHdr, 0, 3). // hot header prefix
 		read(g.chain.Line(cell)).
 		write(g.chainHdr.Line(hdr)). // upgrade on a header line
@@ -122,9 +122,9 @@ func (g *Genome) chainLink(tid int, rng *workload.RNG) *workload.TxDesc {
 
 // chainMerge (tx3): merge two chains — a larger header footprint with two
 // cell writes; highest similarity of the benchmark.
-func (g *Genome) chainMerge(tid int, rng *workload.RNG) *workload.TxDesc {
+func (g *Genome) chainMerge(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	cell := rng.Intn(g.chain.NumLines - 4)
-	return newTx(3, 380).
+	return b.tx(3, 380).
 		readSpan(g.chainHdr, 0, 4).
 		readSpan(g.chain, cell, 2).
 		write(g.chainHdr.Line(rng.Intn(3))).

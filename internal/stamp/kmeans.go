@@ -52,28 +52,28 @@ func (k *Kmeans) NumStatic() int { return 3 }
 // delta update.
 func (k *Kmeans) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	count := share(k.totalTxs, tid, nThreads)
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
 		switch {
 		case i%6 == 5:
-			return 300, k.updateDelta(rng)
+			return 300, k.updateDelta(b, rng)
 		case i%2 == 1:
-			return 500, k.updateCenter(tid, rng)
+			return 500, k.updateCenter(b, tid, rng)
 		default:
-			return 650, k.assign(tid, rng)
+			return 650, k.assign(b, tid, rng)
 		}
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // assign (tx0): read a random point and two candidate centers, write the
 // point's membership back. Points are mostly private to a thread's stripe
 // but stripes overlap slightly at the edges, giving rare tx0–tx0
 // conflicts. Similarity ~0.38: center reads recur, point lines do not.
-func (k *Kmeans) assign(tid int, rng *workload.RNG) *workload.TxDesc {
+func (k *Kmeans) assign(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	stripe := k.points.NumLines / 64
 	base := (tid*stripe + rng.Intn(stripe+2)) % k.points.NumLines
 	c := rng.Intn(k.k) * k.linesPerCenter
-	b := newTx(0, 500)
+	b.tx(0, 500)
 	b.read(k.points.Line(base))
 	// The first center's head line is read on every assignment (the
 	// distance-loop starting point): the similarity floor (~0.38).
@@ -87,12 +87,12 @@ func (k *Kmeans) assign(tid int, rng *workload.RNG) *workload.TxDesc {
 // Threads have an affinity center (their points cluster), so consecutive
 // updates usually hit the same lines (similarity ~0.67) while concurrent
 // updates from threads sharing an affinity collide.
-func (k *Kmeans) updateCenter(tid int, rng *workload.RNG) *workload.TxDesc {
+func (k *Kmeans) updateCenter(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	c := (tid % k.k) * k.linesPerCenter
 	if rng.Float64() > 0.80 {
 		c = rng.Intn(k.k) * k.linesPerCenter
 	}
-	b := newTx(1, 260)
+	b.tx(1, 260)
 	b.readSpan(k.centers, c, k.linesPerCenter)
 	b.write(k.centers.Line(c))
 	b.write(k.centers.Line(c + 1))
@@ -101,9 +101,9 @@ func (k *Kmeans) updateCenter(tid int, rng *workload.RNG) *workload.TxDesc {
 
 // updateDelta (tx2): read-modify-write the global convergence counter and
 // one center line — the tx1–tx2 conflict edge of Table 1.
-func (k *Kmeans) updateDelta(rng *workload.RNG) *workload.TxDesc {
+func (k *Kmeans) updateDelta(b *builder, rng *workload.RNG) *workload.TxDesc {
 	c := rng.Zipf(k.k, 1.0) * k.linesPerCenter
-	return newTx(2, 120).
+	return b.tx(2, 120).
 		read(k.delta.Line(0)).
 		read(k.centers.Line(c)).
 		write(k.delta.Line(0)).

@@ -25,7 +25,8 @@ type Labyrinth struct {
 	headerSpan int
 	pathLen    int
 
-	queued int // worklist cursor, advanced on commit
+	queued   int    // worklist cursor, advanced on commit
+	onRefill func() // refill's commit side effect, bound once
 }
 
 // NewLabyrinth returns the labyrinth factory at its default scale. The
@@ -33,7 +34,7 @@ type Labyrinth struct {
 func NewLabyrinth() workload.Factory {
 	return workload.NewFactory("labyrinth", 2700, func(total int) workload.Workload {
 		sp := workload.NewSpace()
-		return &Labyrinth{
+		l := &Labyrinth{
 			totalTxs:   total,
 			grid:       sp.Alloc("grid", 4096),
 			header:     sp.Alloc("header", 80),
@@ -41,6 +42,8 @@ func NewLabyrinth() workload.Factory {
 			headerSpan: 64,
 			pathLen:    16,
 		}
+		l.onRefill = func() { l.queued++ }
+		return l
 	})
 }
 
@@ -54,46 +57,42 @@ func (l *Labyrinth) NumStatic() int { return 2 }
 // refill.
 func (l *Labyrinth) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	count := share(l.totalTxs, tid, nThreads)
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
 		if i%4 == 3 {
-			return 2500, l.refill(rng)
+			return 2500, l.refill(b, rng)
 		}
-		return 5000, l.route(rng)
+		return 5000, l.route(b, rng)
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // route (tx0): read the whole grid header (recurs — the similarity
 // anchor), read a path of grid cells, then claim the path (upgrades).
 // Paths are random walks, so two concurrent routes cross with moderate
 // probability.
-func (l *Labyrinth) route(rng *workload.RNG) *workload.TxDesc {
-	b := newTx(0, 22000)
+func (l *Labyrinth) route(b *builder, rng *workload.RNG) *workload.TxDesc {
+	b.tx(0, 22000)
 	b.readSpan(l.header, 0, l.headerSpan)
 	start := rng.Intn(l.grid.NumLines)
 	stride := 1 + rng.Intn(2)
-	cells := make([]int, 0, l.pathLen)
 	for j := 0; j < l.pathLen; j++ {
-		cells = append(cells, start+j*stride)
+		b.read(l.grid.Line(start + j*stride))
 	}
-	for _, c := range cells {
-		b.read(l.grid.Line(c))
-	}
-	for _, c := range cells {
-		b.write(l.grid.Line(c)) // claim the path: the upgrade storm
+	for j := 0; j < l.pathLen; j++ {
+		b.write(l.grid.Line(start + j*stride)) // claim the path: the upgrade storm
 	}
 	return b.build()
 }
 
 // refill (tx1): pop work from the worklist cursors — small, hot, moderate
 // similarity.
-func (l *Labyrinth) refill(rng *workload.RNG) *workload.TxDesc {
+func (l *Labyrinth) refill(b *builder, rng *workload.RNG) *workload.TxDesc {
 	q := l.queued
-	return newTx(1, 600).
+	return b.tx(1, 600).
 		read(l.worklist.Line(4)).                     // queue stats block
 		read(l.grid.Line(rng.Intn(l.grid.NumLines))). // peek the next source cell
 		read(l.grid.Line(rng.Intn(l.grid.NumLines))). // and its sink
 		write(l.worklist.Line(q % 2)).                // write-first cursor bump
-		onCommit(func() { l.queued++ }).
+		onCommit(l.onRefill).
 		build()
 }

@@ -42,17 +42,17 @@ func (s *Ssca2) NumStatic() int { return 3 }
 // NewProgram implements workload.Workload.
 func (s *Ssca2) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	count := share(s.totalTxs, tid, nThreads)
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
 		switch i % 3 {
 		case 0:
-			return 350, s.addEdge(tid, rng)
+			return 350, s.addEdge(b, tid, rng)
 		case 1:
-			return 300, s.addWeight(tid, rng)
+			return 300, s.addWeight(b, tid, rng)
 		default:
-			return 400, s.scanVertex(tid, rng)
+			return 400, s.scanVertex(b, tid, rng)
 		}
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // stripeBase returns the thread's adjacency stripe origin; rare
@@ -68,10 +68,10 @@ func (s *Ssca2) stripeBase(tid int, rng *workload.RNG) int {
 
 // addEdge (tx0): bump the thread's cursor and write one adjacency line —
 // two lines, both recurring (cursor always, stripe head usually).
-func (s *Ssca2) addEdge(tid int, rng *workload.RNG) *workload.TxDesc {
+func (s *Ssca2) addEdge(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	base := s.stripeBase(tid, rng)
 	cur := s.cursor.Line(tid % s.cursor.NumLines)
-	return newTx(0, 60).
+	return b.tx(0, 60).
 		read(cur).
 		write(cur).
 		write(s.adj.Line(base + zeroMostly(rng))). // appends cluster at the stripe head
@@ -80,10 +80,10 @@ func (s *Ssca2) addEdge(tid int, rng *workload.RNG) *workload.TxDesc {
 
 // addWeight (tx1): update an edge weight near the stripe head — same
 // recurring footprint shape as tx0.
-func (s *Ssca2) addWeight(tid int, rng *workload.RNG) *workload.TxDesc {
+func (s *Ssca2) addWeight(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	base := s.stripeBase(tid, rng)
 	addr := s.adj.Line(base + zeroMostly(rng))
-	return newTx(1, 50).
+	return b.tx(1, 50).
 		read(s.cursor.Line(tid % s.cursor.NumLines)).
 		read(addr).
 		write(addr).
@@ -92,9 +92,9 @@ func (s *Ssca2) addWeight(tid int, rng *workload.RNG) *workload.TxDesc {
 
 // scanVertex (tx2): read graph metadata and a few stripe lines, write one
 // — a slightly larger, less repetitive footprint (similarity ~0.57).
-func (s *Ssca2) scanVertex(tid int, rng *workload.RNG) *workload.TxDesc {
+func (s *Ssca2) scanVertex(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
 	base := s.stripeBase(tid, rng)
-	b := newTx(2, 90)
+	b.tx(2, 90)
 	b.read(s.meta.Line(rng.Intn(s.meta.NumLines))) // fresh metadata line
 	b.readSpan(s.adj, base, 2)                     // recurring stripe head
 	b.write(s.adj.Line(base + 2 + rng.Intn(40)))   // fresh scan target

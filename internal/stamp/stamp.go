@@ -17,31 +17,42 @@
 //     Labyrinth's hundred-line grid reservations).
 //
 // Every kernel is deterministic given its seed, splits a fixed total
-// transaction count across threads, and mutates its generator state (queue
-// cursors, table occupancy) only in OnCommit callbacks, so aborted
-// attempts replay identical descriptors.
+// transaction count across threads, and follows the two rules of the
+// workload.Program contract (descriptor lifetime, generator state).
 package stamp
 
 import "repro/internal/workload"
 
-// genFunc fabricates the i-th transaction of a thread.
-type genFunc func(tid, i int, rng *workload.RNG) (pre int64, desc *workload.TxDesc)
+// genFunc fabricates the i-th transaction of a thread into the program's
+// builder and returns the descriptor the builder hands out.
+type genFunc func(b *builder, tid, i int, rng *workload.RNG) (pre int64, desc *workload.TxDesc)
 
 // program is the shared thread-program implementation: count transactions
-// from a generator.
+// from a generator. It owns the one builder — descriptor and access array
+// — that every transaction of the thread is fabricated in, so a steady-
+// state Next allocates nothing; the descriptor it returns is valid until
+// the next Next (the workload.Program contract).
 type program struct {
 	gen   genFunc
 	tid   int
 	rng   *workload.RNG
 	count int
 	i     int
+	b     builder
 }
 
+func newProgram(gen genFunc, tid int, seed uint64, count int) *program {
+	p := &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	p.b.desc.Accesses = make([]workload.Access, 0, 16) // all but Labyrinth's routes fit
+	return p
+}
+
+//bfgts:allocfree
 func (p *program) Next() (int64, *workload.TxDesc, bool) {
 	if p.i >= p.count {
 		return 0, nil, false
 	}
-	pre, desc := p.gen(p.tid, p.i, p.rng)
+	pre, desc := p.gen(&p.b, p.tid, p.i, p.rng)
 	p.i++
 	return pre, desc, true
 }
@@ -56,38 +67,51 @@ func share(total, tid, n int) int {
 	return base
 }
 
-// builder accumulates a transaction's accesses in read-then-write order.
+// builder accumulates a transaction's accesses in read-then-write order
+// into a descriptor (and its access array) that it reuses from one
+// transaction to the next.
 type builder struct {
-	desc *workload.TxDesc
-	seen map[uint64]bool
+	desc workload.TxDesc
 }
 
-func newTx(stx int, body int64) *builder {
-	return &builder{
-		desc: &workload.TxDesc{STx: stx, BodyCycles: body},
-		seen: make(map[uint64]bool, 16),
-	}
+// tx starts the next transaction, recycling the previous one's storage.
+//
+//bfgts:allocfree
+func (b *builder) tx(stx int, body int64) *builder {
+	b.desc.STx = stx
+	b.desc.BodyCycles = body
+	b.desc.OnCommit = nil
+	b.desc.Accesses = b.desc.Accesses[:0]
+	return b
 }
 
-// read appends a read of addr (deduplicated).
+// read appends a read of addr unless the transaction already touched the
+// line (footprints are at most ~100 lines, so a scan beats a map).
+//
+//bfgts:allocfree
 func (b *builder) read(addr uint64) *builder {
-	if !b.seen[addr] {
-		b.seen[addr] = true
-		b.desc.Accesses = append(b.desc.Accesses, workload.Access{Addr: addr})
+	for i := range b.desc.Accesses {
+		if b.desc.Accesses[i].Addr == addr {
+			return b
+		}
 	}
+	b.desc.Accesses = append(b.desc.Accesses, workload.Access{Addr: addr})
 	return b
 }
 
 // write appends a write of addr. If the line was read earlier this is the
 // upgrade that makes concurrent conflicting transactions deadlock-prone,
 // exactly as read-modify-write critical sections behave on LogTM.
+//
+//bfgts:allocfree
 func (b *builder) write(addr uint64) *builder {
 	b.desc.Accesses = append(b.desc.Accesses, workload.Access{Addr: addr, Write: true})
-	b.seen[addr] = true
 	return b
 }
 
 // readSpan reads n consecutive lines of a region starting at line base.
+//
+//bfgts:allocfree
 func (b *builder) readSpan(r workload.Region, base, n int) *builder {
 	for j := 0; j < n; j++ {
 		b.read(r.Line(base + j))
@@ -96,9 +120,14 @@ func (b *builder) readSpan(r workload.Region, base, n int) *builder {
 }
 
 // build finalizes the descriptor.
-func (b *builder) build() *workload.TxDesc { return b.desc }
+//
+//bfgts:allocfree
+func (b *builder) build() *workload.TxDesc { return &b.desc }
 
-// onCommit attaches a side-effect callback.
+// onCommit attaches a side-effect callback. Kernels bind each callback
+// once per workload instance; a closure per transaction would allocate.
+//
+//bfgts:allocfree
 func (b *builder) onCommit(fn func()) *builder {
 	b.desc.OnCommit = fn
 	return b

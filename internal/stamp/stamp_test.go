@@ -29,7 +29,9 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// drain runs a program to completion, returning its transactions.
+// drain runs a program to completion, returning its transactions. The
+// program reuses one descriptor (valid only until the next Next), so drain
+// copies what it keeps.
 func drain(t *testing.T, p workload.Program) []*workload.TxDesc {
 	t.Helper()
 	var txs []*workload.TxDesc
@@ -44,7 +46,9 @@ func drain(t *testing.T, p workload.Program) []*workload.TxDesc {
 		if desc == nil || len(desc.Accesses) == 0 {
 			t.Fatal("transaction with no accesses")
 		}
-		txs = append(txs, desc)
+		kept := *desc
+		kept.Accesses = append([]workload.Access(nil), desc.Accesses...)
+		txs = append(txs, &kept)
 		if len(txs) > 1_000_000 {
 			t.Fatal("program does not terminate")
 		}

@@ -44,17 +44,17 @@ func (v *Vacation) NumStatic() int { return 1 }
 // NewProgram implements workload.Workload.
 func (v *Vacation) NewProgram(tid, nThreads int, seed uint64) workload.Program {
 	count := share(v.totalTxs, tid, nThreads)
-	gen := func(tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
-		return 1400, v.reserve(tid, rng)
+	gen := func(b *builder, tid, i int, rng *workload.RNG) (int64, *workload.TxDesc) {
+		return 1400, v.reserve(b, tid, rng)
 	}
-	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+	return newProgram(gen, tid, seed, count)
 }
 
 // reserve (tx0): walk the shared tree tops, descend into random leaves,
 // then write two reservation rows. Rows are drawn from the whole record
 // table, so two concurrent reservations occasionally collide.
-func (v *Vacation) reserve(tid int, rng *workload.RNG) *workload.TxDesc {
-	b := newTx(0, 900)
+func (v *Vacation) reserve(b *builder, tid int, rng *workload.RNG) *workload.TxDesc {
+	b.tx(0, 900)
 	// Tree tops recur across executions: the similarity floor.
 	b.readSpan(v.trees, 0, v.treeTop)
 	// Random descent: 8 fresh leaf lines.

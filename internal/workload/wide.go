@@ -122,9 +122,8 @@ type wideProgram struct {
 	acc  []Access
 }
 
-// Next implements Program. The descriptor and access slice are reused
-// between transactions: the runner holds them only until the execution
-// commits.
+// Next implements Program; the descriptor and access slice are reused
+// between transactions, as the Program contract allows.
 func (p *wideProgram) Next() (int64, *TxDesc, bool) {
 	if p.remaining == 0 {
 		return 0, nil, false

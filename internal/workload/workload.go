@@ -36,15 +36,38 @@ type Access struct {
 
 // Lines counts distinct lines touched by the descriptor.
 func (d *TxDesc) Lines() int {
-	seen := make(map[uint64]struct{}, len(d.Accesses))
-	for _, a := range d.Accesses {
-		seen[a.Addr] = struct{}{}
+	n := 0
+	for i, a := range d.Accesses {
+		n++
+		for _, prev := range d.Accesses[:i] {
+			if prev.Addr == a.Addr {
+				n--
+				break
+			}
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // Program is one thread's instruction stream: a sequence of (non-
 // transactional compute, transaction) pairs.
+//
+// Two rules bind every implementation and every consumer:
+//
+//   - Descriptor lifetime. The *TxDesc that Next returns — its fields, its
+//     Accesses backing array and its OnCommit — is valid until the next
+//     Next call on the same Program, and no longer: programs fabricate
+//     every transaction in one reused descriptor so that the supply
+//     allocates nothing. A consumer finishes with a descriptor (commits
+//     it, including calling OnCommit) before it fetches the next one, and
+//     copies whatever it wants to keep beyond that. Descriptors of
+//     different Programs are independent.
+//   - Generator state. Programs of one workload instance may share
+//     generator state (queue cursors, table occupancy) — the simulator is
+//     single-threaded — and Next may read it, but all mutation of it
+//     happens inside TxDesc.OnCommit callbacks. Aborted attempts therefore
+//     replay an identical descriptor, and a stream depends only on the
+//     order in which transactions are fetched and committed.
 type Program interface {
 	// Next returns the next transaction and the non-transactional compute
 	// cycles preceding it. ok is false when the thread has finished its
@@ -59,10 +82,8 @@ type Workload interface {
 	// NumStatic is the number of static transactions the code declares.
 	NumStatic() int
 	// NewProgram builds thread tid's instruction stream. The total work is
-	// split across nThreads threads; seed makes runs reproducible.
-	// Programs of one workload instance may share generator state — the
-	// simulator is single-threaded — but all mutation of shared state must
-	// happen inside TxDesc.OnCommit callbacks.
+	// split across nThreads threads; seed makes runs reproducible. See
+	// Program for the rules on shared generator state.
 	NewProgram(tid, nThreads int, seed uint64) Program
 }
 

@@ -35,6 +35,9 @@ go test -race -short -count=1 -timeout 300s \
 	-run 'TestAtomicTreeMatchesTree|TestAtomicTreeRepairNoStaleBits|TestAtomicTreeConcurrentStress' \
 	./internal/bloofi/
 go test -race "$@" ./...
+# The benchmark program is a module of its own (bench/go.mod), so ./...
+# above does not reach it: run its toy-size self-drive here.
+(cd bench && go test -short ./...)
 # Machine-readable output round trip: generate a small export and parse it
 # back through the schema.
 tmp="$workdir/export.json"
@@ -72,8 +75,8 @@ go run ./scripts/jsonverify "$chrometmp"
 # Bench smoke: compile and run each hot-path microbenchmark once. The
 # paired Test*AllocFree tests already gate the 0 allocs/op contract; this
 # catches benchmarks that rot until release time.
-go test -run=NONE -bench='BenchmarkTxLifecycle|BenchmarkEngineChurn|BenchmarkEq3Estimate|BenchmarkSTMContended$|BenchmarkTreeProbe|BenchmarkAtomicTreeProbe|BenchmarkBFGTSPredict' \
-	-benchtime=1x ./internal/tm/ ./internal/sim/ ./internal/bloom/ ./internal/stm/ ./internal/bloofi/ ./internal/sched/ >/dev/null
+go test -run=NONE -bench='BenchmarkTxLifecycle|BenchmarkEngineChurn|BenchmarkEq3Estimate|BenchmarkSTMContended$|BenchmarkTreeProbe|BenchmarkAtomicTreeProbe|BenchmarkBFGTSPredict|BenchmarkStampNext' \
+	-benchtime=1x ./internal/tm/ ./internal/sim/ ./internal/bloom/ ./internal/stm/ ./internal/bloofi/ ./internal/sched/ ./internal/stamp/ >/dev/null
 go test -run=NONE -bench='BenchmarkWideSharded' -benchtime=1x . >/dev/null
 # Fig4a wall-clock gate: the end-to-end figure run must stay within 15% of
 # the committed baseline, so batching-path regressions fail here instead of
