@@ -7,9 +7,12 @@
 // order books do.
 //
 // For every (workload, scheduler, worker-count) cell it reports commit
-// throughput, abort rate, and per-transaction latency (mean/p50/p99 from a
-// log-scaled histogram), and can emit the whole sweep as a schema-v1 JSON
-// export (the same format bfgts-sim emits, verified by scripts/jsonverify).
+// throughput, abort rate, per-transaction latency (mean/p50/p99 from a
+// log-scaled histogram) and the heap traffic of the timed section per
+// committed transaction (bytes/tx, allocs/tx: the runtime.MemStats delta
+// around it, so the workers' own start-up is included and amortized over
+// -ops), and can emit the whole sweep as a schema-v1 JSON export (the same
+// format bfgts-sim emits, verified by scripts/jsonverify).
 //
 // Usage:
 //
@@ -124,7 +127,8 @@ func main() {
 			ID:    "stm-" + wl,
 			Title: fmt.Sprintf("STM contention managers on the %s workload (%d ops/worker)", wl, *ops),
 			Columns: []string{"scheduler", "workers", "commits", "aborts",
-				"abort_rate", "throughput_ops_s", "mean_us", "p50_us", "p99_us"},
+				"abort_rate", "throughput_ops_s", "mean_us", "p50_us", "p99_us",
+				"bytes_per_tx", "allocs_per_tx"},
 			Values: map[string]float64{},
 			Notes: []string{
 				fmt.Sprintf("keys=%d zipf_s=%.2f seed=%d", *keys, *zipfS, *seed),
@@ -133,8 +137,8 @@ func main() {
 		}
 		if !*quiet {
 			fmt.Printf("## %s\n", rep.Title)
-			fmt.Printf("%-10s %8s %10s %10s %8s %12s %9s %9s %9s\n",
-				"scheduler", "workers", "commits", "aborts", "abort%", "ops/s", "mean(us)", "p50(us)", "p99(us)")
+			fmt.Printf("%-10s %8s %10s %10s %8s %12s %9s %9s %9s %9s %9s\n",
+				"scheduler", "workers", "commits", "aborts", "abort%", "ops/s", "mean(us)", "p50(us)", "p99(us)", "B/tx", "allocs/tx")
 		}
 		for _, kind := range schedulers {
 			for _, w := range workerCounts {
@@ -238,6 +242,8 @@ type cellResult struct {
 	commits, aborts int64
 	elapsed         time.Duration
 	lat             stats.Histogram // per-transaction wall latency, ns
+	// Heap traffic of the timed section (runtime.MemStats delta).
+	allocBytes, mallocs uint64
 
 	// Begin-time probe histograms, BFGTS cells only (nil otherwise).
 	// probeLen counts candidates visited per prediction; probeNodes and
@@ -260,6 +266,14 @@ func (r *cellResult) throughput() float64 {
 	return float64(r.commits) / r.elapsed.Seconds()
 }
 
+// perTx divides a timed-section total by the committed transactions.
+func (r *cellResult) perTx(total uint64) float64 {
+	if r.commits == 0 {
+		return 0
+	}
+	return float64(total) / float64(r.commits)
+}
+
 func addRow(rep *harness.Report, kind stm.SchedulerKind, workers int, r cellResult) {
 	rep.Rows = append(rep.Rows, []string{
 		kind.String(),
@@ -271,11 +285,15 @@ func addRow(rep *harness.Report, kind stm.SchedulerKind, workers int, r cellResu
 		strconv.FormatFloat(r.lat.Mean()/1e3, 'f', 1, 64),
 		strconv.FormatFloat(float64(r.lat.Percentile(50))/1e3, 'f', 1, 64),
 		strconv.FormatFloat(float64(r.lat.Percentile(99))/1e3, 'f', 1, 64),
+		strconv.FormatFloat(r.perTx(r.allocBytes), 'f', 2, 64),
+		strconv.FormatFloat(r.perTx(r.mallocs), 'f', 3, 64),
 	})
 	key := fmt.Sprintf("%s/w%d/", kind, workers)
 	rep.Values[key+"throughput_ops_s"] = r.throughput()
 	rep.Values[key+"abort_rate"] = r.abortRate()
 	rep.Values[key+"p99_us"] = float64(r.lat.Percentile(99)) / 1e3
+	rep.Values[key+"bytes_per_tx"] = r.perTx(r.allocBytes)
+	rep.Values[key+"allocs_per_tx"] = r.perTx(r.mallocs)
 	if r.probeLen != nil && r.probeLen.N() > 0 {
 		rep.Values[key+"probe_len_mean"] = r.probeLen.Mean()
 		rep.Values[key+"probe_len_p99"] = float64(r.probeLen.Percentile(99))
@@ -289,9 +307,10 @@ func addRow(rep *harness.Report, kind stm.SchedulerKind, workers int, r cellResu
 }
 
 func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
-	fmt.Printf("%-10s %8d %10d %10d %7.1f%% %12.0f %9.1f %9.1f %9.1f\n",
+	fmt.Printf("%-10s %8d %10d %10d %7.1f%% %12.0f %9.1f %9.1f %9.1f %9.2f %9.3f\n",
 		kind, workers, r.commits, r.aborts, 100*r.abortRate(), r.throughput(),
-		r.lat.Mean()/1e3, float64(r.lat.Percentile(50))/1e3, float64(r.lat.Percentile(99))/1e3)
+		r.lat.Mean()/1e3, float64(r.lat.Percentile(50))/1e3, float64(r.lat.Percentile(99))/1e3,
+		r.perTx(r.allocBytes), r.perTx(r.mallocs))
 	if r.probeLen != nil && r.probeLen.N() > 0 {
 		fmt.Printf("%-10s probe_len mean=%.2f p99=%d", "", r.probeLen.Mean(), r.probeLen.Percentile(99))
 		if r.probeNodes != nil && r.probeNodes.N() > 0 {
@@ -371,6 +390,8 @@ func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zi
 	}
 
 	hists := make([]stats.Histogram, workers)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -392,8 +413,11 @@ func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zi
 		}(w)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
 
-	res := cellResult{commits: sys.Commits(), aborts: sys.Aborts(), elapsed: time.Since(start)}
+	res := cellResult{commits: sys.Commits(), aborts: sys.Aborts(), elapsed: elapsed,
+		allocBytes: m1.TotalAlloc - m0.TotalAlloc, mallocs: m1.Mallocs - m0.Mallocs}
 	for w := range hists {
 		res.lat.Merge(&hists[w])
 	}

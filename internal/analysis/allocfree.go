@@ -24,7 +24,8 @@ import (
 //   - an append whose result lands somewhere other than its own first
 //     argument or a return statement (growth into a second slice always
 //     copies),
-//   - interface boxing: a concrete non-pointer-shaped value converted,
+//   - interface boxing: a concrete non-pointer-shaped value — or a value
+//     of type-parameter type, whose shape is unknown — converted,
 //     assigned, passed, or returned as an interface,
 //   - a variable-capturing closure that escapes: assigned, stored,
 //     returned, or passed outside the package. A capturing closure passed
@@ -314,7 +315,22 @@ func isPanicCall(pass *Pass, call *ast.CallExpr) bool {
 // value that must be heap-boxed. Pointer-shaped values (pointers, channels,
 // maps, funcs, unsafe.Pointer) ride in the interface word directly.
 func boxes(dst, src types.Type) bool {
-	if dst == nil || src == nil || !types.IsInterface(dst) || types.IsInterface(src) {
+	if dst == nil || src == nil {
+		return false
+	}
+	// Type parameters answer IsInterface with their constraint, so they
+	// are settled first: storing into a T is a plain copy, and a T stored
+	// into an interface is a value of unknown shape — boxed, in general.
+	if _, ok := dst.(*types.TypeParam); ok {
+		return false
+	}
+	if !types.IsInterface(dst) {
+		return false
+	}
+	if _, ok := src.(*types.TypeParam); ok {
+		return true
+	}
+	if types.IsInterface(src) {
 		return false
 	}
 	if b, ok := src.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {

@@ -21,9 +21,12 @@ import (
 //     must not be read or written plainly anywhere else in the package.
 //   - A value of a sync/atomic type (atomic.Int64, atomic.Pointer[T],
 //     atomic.Value, ...) must never be copied: not assigned, passed,
-//     returned, or ranged over by value. Typed atomics are only usable
-//     through methods on a stable address; a copy silently forks the
-//     cell. (Method-receiver uses and &-of expressions are not copies.)
+//     returned, or ranged over by value — neither bare nor inside a
+//     struct or array that embeds it (the STM's padded epoch slots: a
+//     `for _, s := range slots` scan would read private copies). Typed
+//     atomics are only usable through methods on a stable address; a copy
+//     silently forks the cell. (Method-receiver uses and &-of expressions
+//     are not copies.)
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc:  "fields accessed through sync/atomic must never be read or written plainly; atomic values must not be copied",
@@ -65,6 +68,29 @@ func isAtomicType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+}
+
+// holdsAtomic reports whether copying a value of type t copies a typed
+// atomic cell: t is one, or a struct or array with one inside. Pointers,
+// slices and maps share their cells instead of copying them.
+func holdsAtomic(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if isAtomicType(t) {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsAtomic(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return holdsAtomic(u.Elem())
+	}
+	return false
 }
 
 func runAtomicField(pass *Pass) error {
@@ -135,7 +161,7 @@ func runAtomicField(pass *Pass) error {
 				checkAtomicCopy(pass, arg)
 			}
 		case *ast.RangeStmt:
-			checkAtomicCopy(pass, n.X)
+			checkAtomicRange(pass, n)
 		}
 		return true
 	})
@@ -206,8 +232,38 @@ func checkAtomicCopy(pass *Pass, e ast.Expr) {
 	if !ok || !tv.IsValue() {
 		return
 	}
-	if isAtomicType(tv.Type) {
+	if holdsAtomic(tv.Type) {
 		pass.Reportf(e.Pos(), "copies %s by value; typed atomics are only meaningful through methods on one address", typeShort(tv.Type))
+	}
+}
+
+// checkAtomicRange flags a range statement whose value variable receives
+// a copy of each element's atomic cells.
+func checkAtomicRange(pass *Pass, rng *ast.RangeStmt) {
+	if rng.Value == nil {
+		return
+	}
+	if id, ok := rng.Value.(*ast.Ident); ok && id.Name == "_" {
+		return
+	}
+	t := pass.exprType(rng.X)
+	if t == nil {
+		return
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem() // range over *[N]T
+	}
+	var elem types.Type
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		elem = u.Elem()
+	case *types.Array:
+		elem = u.Elem()
+	case *types.Map:
+		elem = u.Elem()
+	}
+	if holdsAtomic(elem) {
+		pass.Reportf(rng.Value.Pos(), "range copies %s by value; typed atomics are only meaningful through methods on one address — index the collection instead", typeShort(elem))
 	}
 }
 
@@ -232,7 +288,7 @@ func checkAtomicOverwrite(pass *Pass, lhs ast.Expr) {
 	if !ok {
 		return
 	}
-	if isAtomicType(tv.Type) {
+	if holdsAtomic(tv.Type) {
 		pass.Reportf(lhs.Pos(), "plainly overwrites %s; use its Store method", typeShort(tv.Type))
 	}
 }

@@ -39,12 +39,14 @@ var gateEntryPoints = map[string][]string{
 		"Reset", "Next", "Nodes", "Candidates", "matchesAny", "hasKey",
 	},
 	"stm": { // TestReadOnlyPathAllocFree / TestAbortRetryPathAllocFree / TestCommitPathAllocs / TestPredictPathAllocFree
-		"read", "write", "commit", "reset", "commitFail", "writeSetHas",
-		"readVersionOf", "lookupRead", "lookupWrite", "appendRead",
-		"appendWrite", "sortWrites", "commitBookkeeping",
+		"Read", "Write", "begin", "abortOn", "commit", "reset", "commitFail",
+		"writeSetHas", "readVersionOf", "lookupRead", "lookupWrite",
+		"appendRead", "appendWrite", "sortWrites", "commitBookkeeping",
+		"abandon", "unwindCells", "poolOf", "take", "retire", "unwind",
+		"install", "discard", "reclaimable", "scanEpochs",
 		"OnBegin", "OnAbort", "OnCommit", "predict", "suspend", "stallOn",
 		"republish", "validate", "backoff", "jitter", "enemyDTx",
-		"decShard", "decNow",
+		"decShard", "decNow", "settleSuspension", "onLeave",
 		"predictDir", "predictLinear", "onRunning", "setRunning",
 	},
 	"stamp": { // TestStampNextAllocFree

@@ -171,6 +171,46 @@ func okPanic(p *pool, idx int) int {
 	return p.stats[idx]
 }
 
+// Generic receivers (the STM's typed value cells): a T stored in an
+// interface is boxed whatever T turns out to be, a *T rides in the
+// interface word, and new(T) is still new.
+
+type gcell[T any] struct {
+	pending any
+	free    []*T
+}
+
+//bfgts:allocfree
+func (g *gcell[T]) badBoxValue(val T) {
+	g.pending = val // want `T boxed into interface allocates`
+}
+
+//bfgts:allocfree
+func (g *gcell[T]) badFresh() *T {
+	return new(T) // want `new allocates in //bfgts:allocfree function`
+}
+
+//bfgts:allocfree
+func (g *gcell[T]) okCellPointer(val T) {
+	n := len(g.free)
+	cell := g.free[n-1]
+	g.free = g.free[:n-1]
+	*cell = val
+	g.pending = cell
+}
+
+//bfgts:allocfree
+func (g *gcell[T]) okUnbox() T {
+	return *g.pending.(*T)
+}
+
+//bfgts:allocfree
+func okGenericCopy[T any](dst *T, src T) T {
+	var tmp T = src
+	*dst = tmp
+	return tmp
+}
+
 // unannotated functions are outside the contract entirely.
 func unannotatedMake(n int) []*thing {
 	return make([]*thing, 0, n)

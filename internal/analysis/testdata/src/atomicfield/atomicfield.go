@@ -70,3 +70,45 @@ func okDeclare() uint32 {
 	local.Store(3)
 	return local.Load()
 }
+
+// The STM's epoch slots: a typed atomic padded to a cache line, kept in a
+// slice that every reclamation scan walks. The cell must be reached
+// through the slice's own storage.
+
+type epochSlot struct {
+	at atomic.Uint64
+	_  [56]byte
+}
+
+func okScan(slots []epochSlot) uint64 {
+	low := ^uint64(0)
+	for i := range slots {
+		if e := slots[i].at.Load(); e < low {
+			low = e
+		}
+	}
+	return low
+}
+
+func okAnnounce(s *epochSlot, v uint64) {
+	s.at.Store(v)
+}
+
+func badScanByValue(slots []epochSlot) uint64 {
+	low := ^uint64(0)
+	for _, s := range slots { // want `range copies atomicfield\.epochSlot by value`
+		if e := s.at.Load(); e < low {
+			low = e
+		}
+	}
+	return low
+}
+
+func badSlotCopy(slots []epochSlot) uint64 {
+	s := slots[0] // want `copies atomicfield\.epochSlot by value`
+	return s.at.Load()
+}
+
+func badSlotReset(slots []epochSlot) {
+	slots[0] = epochSlot{} // want `plainly overwrites atomicfield\.epochSlot; use its Store method`
+}

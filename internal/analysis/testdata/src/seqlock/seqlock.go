@@ -91,3 +91,64 @@ func badReset(n *node) {
 func badDeadPub(n *node) int { // want `never loads or stores cur; drop or fix the directive`
 	return len(n.pair[0])
 }
+
+// The STM's read loop is a method on a generic receiver: the epoch lives
+// in a type-erased core, the guarded pointer is an atomic.Pointer[T], and
+// a doomed read leaves through a helper that never returns.
+
+type core struct {
+	version atomic.Uint64
+}
+
+type typed[T any] struct {
+	c   core
+	val atomic.Pointer[T]
+}
+
+func (c *core) abort() { panic("doomed") }
+
+//bfgts:seqlock version
+func (tv *typed[T]) okGenericRead(limit uint64) T {
+	c := &tv.c
+	for {
+		v1 := c.version.Load()
+		if v1&1 == 1 || v1 > limit {
+			c.abort()
+		}
+		cell := tv.val.Load()
+		if c.version.Load() == v1 {
+			return *cell
+		}
+	}
+}
+
+//bfgts:seqlock version
+func (tv *typed[T]) badGenericEarlyDeref(limit uint64) T {
+	c := &tv.c
+	for {
+		v1 := c.version.Load()
+		if v1&1 == 1 || v1 > limit {
+			c.abort()
+		}
+		cell := tv.val.Load()
+		out := *cell // want `dereferences cell loaded at the start of the critical section without rechecking version in between`
+		if c.version.Load() == v1 {
+			return out
+		}
+	}
+}
+
+//bfgts:seqlock version
+func (tv *typed[T]) badGenericFailedDeref() (T, bool) {
+	v1 := tv.c.version.Load()
+	if v1&1 == 1 {
+		var zero T
+		return zero, false
+	}
+	cell := tv.val.Load()
+	if tv.c.version.Load() == v1 {
+		return *cell, true
+	} else {
+		return *cell, false // want `dereferences cell on the failed version-check path`
+	}
+}

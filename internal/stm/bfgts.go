@@ -459,17 +459,39 @@ func (m *bfgtsManager) validate(st *bfgtsStat, stx, dtx int) {
 		m.sys.met.validMisses.Add(1)
 	}
 	// Settle the recorded suspension with the same verdict the confidence
-	// loop just acted on. The owner's shard: dtx/StaticTxs is the worker.
-	if st.decTok >= 0 {
-		if dec := m.sys.decShard(dtx / m.sys.cfg.StaticTxs); dec != nil {
-			o := decision.OOvercautious
-			if justified {
-				o = decision.OJustified
-			}
-			dec.Resolve(st.decTok, o, 0)
-		}
-		st.decTok = -1
+	// loop just acted on.
+	o := decision.OOvercautious
+	if justified {
+		o = decision.OJustified
 	}
+	m.settleSuspension(st, dtx, o)
+}
+
+// settleSuspension resolves the execution's recorded suspension, if any,
+// in the owner's shard (dtx/StaticTxs is the worker).
+//
+//bfgts:allocfree
+func (m *bfgtsManager) settleSuspension(st *bfgtsStat, dtx int, o decision.Outcome) {
+	if st.decTok < 0 {
+		return
+	}
+	if dec := m.sys.decShard(dtx / m.sys.cfg.StaticTxs); dec != nil {
+		dec.Resolve(st.decTok, o, 0)
+	}
+	st.decTok = -1
+}
+
+// onLeave implements leaveObserver: the execution ended without a commit,
+// so there is no committed signature to validate its last suspension
+// against. Drop it — left in place it would be validated against the next
+// call's commit — and settle its record as overcautious: the wait bought
+// no commit.
+//
+//bfgts:allocfree
+func (m *bfgtsManager) onLeave(worker, dtx int) {
+	st := &m.stats[dtx]
+	st.waitingOn = core.NoTx
+	m.settleSuspension(st, dtx, decision.OOvercautious)
 }
 
 // similarity returns a dtx's similarity EWMA (System.Similarity).

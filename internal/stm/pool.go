@@ -7,14 +7,13 @@ import (
 
 // workerState is one worker's shard of System state: the pooled Tx (with
 // its read/write sets and probe indexes), the commit-time line buffers,
-// and a private jitter generator. Pooling per worker instead of through a
-// free list works because Atomic is single-flight per worker slot (the
-// busy guard enforces it), so nothing is ever contended — the retry loop
-// reuses the same storage attempt after attempt with zero allocator
-// traffic once capacities are warm.
+// the value-cell pools and epoch slot of cells.go, and a private jitter
+// generator. Pooling per worker instead of through a free list works
+// because Atomic is single-flight per worker slot (the busy guard
+// enforces it), so nothing is ever contended — the retry loop reuses the
+// same storage attempt after attempt with zero allocator traffic once
+// capacities are warm.
 type workerState struct {
-	// busy rejects concurrent Atomic calls on the same worker slot, which
-	// would silently corrupt the pooled Tx.
 	tx  Tx
 	rng uint64 // xorshift64 state for jitter; never zero
 
@@ -23,16 +22,29 @@ type workerState struct {
 	lineBuf  []uint64
 	writeBuf []uint64
 
+	// epoch is this worker's slot in the process-wide registry: the
+	// running attempt's readVersion, or epochIdle. Non-idle is also what
+	// marks an attempt as open (see System.abandon).
+	epoch *epochSlot
+	// safe caches the largest scanEpochs result this worker has seen.
+	safe uint64
+	// pools holds one *cellPool[T] per value type this worker has written.
+	pools []any
+
+	// busy rejects concurrent Atomic calls on the same worker slot, which
+	// would silently corrupt the pooled Tx.
 	busy atomic.Bool
 
-	// Pad the shard toward a cache line so adjacent workers' busy/rng
-	// traffic does not false-share.
+	// Pad the shard to a whole number of cache lines so adjacent workers'
+	// hot fields do not false-share.
 	_ [40]byte
 }
 
 // init seeds the worker's private RNG (any fixed odd constant works; the
-// worker index decorrelates streams).
-func (w *workerState) init(worker int) {
+// worker index decorrelates streams) and binds its epoch slot.
+func (w *workerState) init(worker int, epoch *epochSlot) {
+	w.tx.w = w
+	w.epoch = epoch
 	w.rng = 0x9e3779b97f4a7c15 ^ uint64(worker+1)*0x2545f4914f6cdd1d
 }
 

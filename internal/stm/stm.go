@@ -6,14 +6,30 @@
 //
 // The package is layered like the simulator:
 //
-//   - The TM layer (this file) is a word-based STM in the TL2 tradition: a
-//     global version clock, per-TVar versioned locks, lazy versioning
-//     (writes buffered until commit), commit-time locking in a canonical
-//     order and read-set validation.
-//   - The pooling layer (pool.go, txset.go) keeps the begin→abort→retry
-//     path allocation-free: each worker owns one pooled Tx whose
+//   - The TM layer (this file) is an STM in the TL2 tradition over typed
+//     value cells: a global version clock, per-TVar versioned locks, lazy
+//     versioning (writes buffered until commit), commit-time locking in a
+//     canonical order and read-set validation. A TVar[T] publishes its
+//     value as a *T; Read copies the value out under a seqlock on the
+//     TVar's version, Write fills a cell the attempt owns, and commit
+//     installs it with one pointer swap. No value is ever boxed.
+//   - The reclamation layer (cells.go) recycles the cells commits
+//     displace. Each worker announces its attempt's read version in an
+//     epoch slot; a displaced cell is filed under its commit version and
+//     reused once every announced epoch in the process has reached that
+//     version — from then on no reader can hold it. Each worker keeps at
+//     most cellPoolDepth cells per value type, overflow goes to the
+//     garbage collector, and a reader stalled mid-attempt costs the other
+//     workers fresh allocations, never correctness. A pooled cell keeps
+//     the value it last held reachable until the cell is reused: a TVar
+//     of large slices or maps can pin up to that many old values per
+//     worker.
+//   - The pooling layer (pool.go, txset.go) keeps the per-attempt state
+//     allocation-free: each worker owns one pooled Tx whose
 //     open-addressing read/write sets and commit scratch survive attempts,
-//     the PR 3 free-list idiom applied to the real STM.
+//     the PR 3 free-list idiom applied to the real STM. Together with the
+//     cells this makes the whole begin→abort→retry→commit cycle
+//     allocation-free in steady state under every manager.
 //   - The scheduling layer (manager.go and the per-manager files) is a
 //     pluggable ContentionManager mirroring internal/sched.Manager's hooks
 //     (begin, abort, commit) in real time: Backoff, ATS and a
@@ -35,8 +51,9 @@
 // # Sharing TVars across Systems
 //
 // TVars may be shared by transactions of different Systems: the version
-// clock is process-wide, TVar identities are process-unique, and commit
-// lock order is canonical across Systems, so isolation holds globally.
+// clock and the epoch registry are process-wide, TVar identities are
+// process-unique, and commit lock order is canonical across Systems, so
+// isolation and cell reclamation hold globally.
 // The caveat is scheduling, not correctness: conflict attribution stamps
 // each TVar with a System-qualified writer ID, and a conflict whose last
 // writer belongs to another System is deliberately dropped on the floor
@@ -47,6 +64,7 @@ package stm
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -98,16 +116,22 @@ type System struct {
 	// paper's CPU table, with snoop traffic replaced by cache coherence.
 	running []atomic.Int64
 
-	// workers holds the per-worker shards: pooled Tx, commit scratch and
-	// jitter state. No worker ever touches another's shard.
+	// workers holds the per-worker shards: pooled Tx, commit scratch, cell
+	// pools and jitter state. No worker ever touches another's shard.
 	workers []workerState
+	// epochs keeps the workers' epoch slots registered for as long as the
+	// System is reachable.
+	epochs *epochLease
 
 	mgr ContentionManager
 	// runObs is mgr when it observes running-slot transitions (the BFGTS
 	// Bloofi directory), else nil. Kept as a dedicated field so the hot
 	// path pays one nil check instead of a type assertion per store.
 	runObs runningObserver
-	met    stmMetrics
+	// leaveObs is mgr when it keeps per-execution state that must be
+	// dropped when an execution ends without committing, else nil.
+	leaveObs leaveObserver
+	met      stmMetrics
 
 	// epoch is the Record.Time zero of the decision trace.
 	epoch time.Time
@@ -132,13 +156,14 @@ func NewSystem(cfg Config) *System {
 		id:      systemIDs.Add(1),
 		running: make([]atomic.Int64, cfg.Workers),
 		workers: make([]workerState, cfg.Workers),
+		epochs:  leaseEpochs(cfg.Workers),
 		epoch:   time.Now(),
 	}
 	for i := range s.running {
 		s.running[i].Store(int64(core.NoTx))
 	}
 	for i := range s.workers {
-		s.workers[i].init(i)
+		s.workers[i].init(i, &s.epochs.slots[i])
 	}
 	switch {
 	case cfg.NewManager != nil:
@@ -151,6 +176,7 @@ func NewSystem(cfg Config) *System {
 		s.mgr = &backoffManager{sys: s}
 	}
 	s.runObs, _ = s.mgr.(runningObserver)
+	s.leaveObs, _ = s.mgr.(leaveObserver)
 	return s
 }
 
@@ -162,6 +188,15 @@ func NewSystem(cfg Config) *System {
 // already cleared slot).
 type runningObserver interface {
 	onRunning(worker, dtx int)
+}
+
+// leaveObserver is an optional ContentionManager extension told, on the
+// owning worker's goroutine, that an execution ended without committing —
+// fn returned an error or panicked — so state the manager keeps per
+// execution (a BFGTS suspension awaiting commit-time validation) must not
+// leak into the next Atomic call on that dtx.
+type leaveObserver interface {
+	onLeave(worker, dtx int)
 }
 
 // setRunning publishes the dTxID executing on a worker slot (or
@@ -238,12 +273,12 @@ var globalClock atomic.Uint64
 // canonical commit lock order (consistent across Systems by construction).
 var tvarKeys atomic.Uint64
 
-// tvar is the type-erased TVar core.
+// tvar is the type-erased TVar core: everything the read/write sets, the
+// commit protocol and conflict attribution need without knowing T.
 type tvar struct {
 	// version is even when unlocked (the commit timestamp of the current
 	// value) and odd while a committer holds the write lock.
 	version atomic.Uint64
-	val     atomic.Pointer[any]
 	// lastWriter is the System-qualified stamp of the last committed
 	// writer (see writerStamp), or 0 when never written transactionally.
 	// Conflict attribution unpacks it and drops stamps minted by other
@@ -251,41 +286,101 @@ type tvar struct {
 	lastWriter atomic.Int64
 	// key is the TVar's process-unique identity.
 	key uint64
+	// own is the enclosing TVar[T], through which commit installs a
+	// buffered cell without knowing its type.
+	own cellOwner
 }
 
 // TVar is a transactional variable holding a value of type T.
 type TVar[T any] struct {
-	v tvar
+	// val is the published cell. Committers swap it while holding the
+	// version lock; a displaced cell is recycled under the epoch rule of
+	// cells.go, so a loaded pointer may be dereferenced only after a
+	// version recheck and only inside an announced attempt (or Peek).
+	// It sits directly before v.version: a TVar is 48 bytes, so it may
+	// straddle a cache line, and the two words every Read loads should
+	// not be the ones that end up apart.
+	val atomic.Pointer[T]
+	v   tvar
 }
 
 // NewTVar creates a TVar with an initial value.
 func NewTVar[T any](initial T) *TVar[T] {
 	tv := &TVar[T]{}
 	tv.v.key = tvarKeys.Add(1)
-	var boxed any = initial
-	tv.v.val.Store(&boxed)
+	tv.v.own = tv
+	tv.val.Store(&initial)
 	return tv
 }
 
-// Read returns the TVar's value inside a transaction.
+// Read returns the TVar's value inside a transaction, aborting the attempt
+// (via txAbort) when a consistent view no longer exists.
+//
+//bfgts:allocfree
+//bfgts:seqlock version
 func (tv *TVar[T]) Read(tx *Tx) T {
-	got := tx.read(&tv.v)
-	if got == nil {
-		var zero T
-		return zero
+	v := &tv.v
+	if i := tx.lookupWrite(v); i >= 0 {
+		return *tx.writes[i].cell.(*T)
 	}
-	return got.(T)
+	if i := tx.lookupRead(v); i >= 0 {
+		// Re-read: the recorded version was ≤ readVersion when first read;
+		// any later commit moved the version past readVersion, so observing
+		// a change means this attempt is doomed. The cell load precedes the
+		// version check; a committer swaps the cell before unlocking, so an
+		// unchanged (even) version proves the cell is the recorded version's.
+		cell := tv.val.Load()
+		if v.version.Load() != tx.reads[i].ver {
+			tx.abortOn(v)
+		}
+		return *cell
+	}
+	for {
+		v1 := v.version.Load()
+		if v1&1 == 1 || v1 > tx.readVersion {
+			tx.abortOn(v)
+		}
+		cell := tv.val.Load()
+		if v.version.Load() == v1 {
+			tx.appendRead(v, v1)
+			return *cell
+		}
+	}
 }
 
-// Write buffers a new value for the TVar inside a transaction.
+// Write buffers a new value for the TVar inside a transaction, in a cell
+// the attempt owns until commit publishes it.
+//
+//bfgts:allocfree
 func (tv *TVar[T]) Write(tx *Tx, val T) {
-	tx.write(&tv.v, val)
+	v := &tv.v
+	if i := tx.lookupWrite(v); i >= 0 {
+		*tx.writes[i].cell.(*T) = val
+		return
+	}
+	cell := poolOf[T](tx.w).take(tx)
+	*cell = val
+	tx.appendWrite(v, cell)
 }
 
-// Peek reads the committed value outside any transaction (for tests and
-// post-run inspection; racy only in the benign read-latest sense).
+// Peek reads the committed value outside any transaction. It is safe from
+// any goroutine, concurrently with commits: it waits out a committer
+// holding the TVar's lock and returns a value some commit published whole.
+//
+//bfgts:seqlock version
 func (tv *TVar[T]) Peek() T {
-	return (*tv.v.val.Load()).(T)
+	peekers.Add(1)
+	defer peekers.Add(-1)
+	for {
+		v1 := tv.v.version.Load()
+		if v1&1 == 0 {
+			cell := tv.val.Load()
+			if tv.v.version.Load() == v1 {
+				return *cell
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // Tx is one transaction attempt. It is pooled per worker: the same object
@@ -294,6 +389,7 @@ func (tv *TVar[T]) Peek() T {
 // outgrows its retained capacity.
 type Tx struct {
 	sys    *System
+	w      *workerState // the owning shard (this Tx is its tx field)
 	worker int
 	stx    int
 	dtx    int
@@ -304,65 +400,41 @@ type Tx struct {
 	rIdx, wIdx  idxTable
 
 	enemy int64 // writer stamp attributed to the last conflict, or 0
+
+	// scanned is set once the attempt has rescanned the epochs for a
+	// reusable cell (Tx.reclaimable).
+	scanned bool
+
+	// decTok/decT0 identify the attempt's proceed record in the decision
+	// trace (-1 when recording is off or the record was dropped) and the
+	// time it was taken.
+	decTok int
+	decT0  int64
 }
 
-// reset prepares the pooled Tx for a fresh attempt, keeping all storage.
+// begin opens an attempt on the pooled Tx, keeping all storage: it draws
+// the read version and announces it in the worker's epoch slot before any
+// TVar is touched — the order cells.go's reclamation argument rests on.
 //
 //bfgts:allocfree
-func (t *Tx) reset(readVersion uint64) {
-	t.readVersion = readVersion
+func (t *Tx) begin() {
+	t.readVersion = globalClock.Load()
+	t.w.epoch.at.Store(t.readVersion)
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	t.rIdx.reset()
 	t.wIdx.reset()
 	t.enemy = 0
+	t.scanned = false
 }
 
-// read returns the transaction's view of v, aborting the attempt (via
-// txAbort) when a consistent view no longer exists.
+// abortOn dooms the attempt over a conflict on v, unwinding through the
+// user function.
 //
 //bfgts:allocfree
-//bfgts:seqlock version
-func (t *Tx) read(v *tvar) any {
-	if i := t.lookupWrite(v); i >= 0 {
-		return t.writes[i].val
-	}
-	if i := t.lookupRead(v); i >= 0 {
-		// Re-read: the recorded version was ≤ readVersion when first read;
-		// any later commit moved the version past readVersion, so observing
-		// a change means this attempt is doomed. The val load precedes the
-		// version check; a committer writes val before unlocking, so an
-		// unchanged (even) version proves val is the recorded version's.
-		val := v.val.Load()
-		if v.version.Load() != t.reads[i].ver {
-			t.enemy = v.lastWriter.Load()
-			panic(txAbort{})
-		}
-		return *val
-	}
-	for {
-		v1 := v.version.Load()
-		if v1&1 == 1 || v1 > t.readVersion {
-			t.enemy = v.lastWriter.Load()
-			panic(txAbort{})
-		}
-		val := v.val.Load()
-		if v.version.Load() == v1 {
-			t.appendRead(v, v1)
-			return *val
-		}
-	}
-}
-
-// write buffers val as the transaction's pending value for v.
-//
-//bfgts:allocfree
-func (t *Tx) write(v *tvar, val any) {
-	if i := t.lookupWrite(v); i >= 0 {
-		t.writes[i].val = val
-		return
-	}
-	t.appendWrite(v, val)
+func (t *Tx) abortOn(v *tvar) {
+	t.enemy = v.lastWriter.Load()
+	panic(txAbort{})
 }
 
 // txAbort unwinds a doomed attempt through the user function.
@@ -387,29 +459,30 @@ func (s *System) Atomic(worker, stx int, fn func(*Tx) error) error {
 		panic(fmt.Sprintf("stm: worker %d used concurrently", worker))
 	}
 	dtx := worker*s.cfg.StaticTxs + stx
+	tx := &w.tx
 	defer func() {
-		// Normal exits already cleared the running slot; this also covers
-		// a panic out of fn, so a poisoned worker cannot wedge the other
-		// workers' begin-time scans and ATS throttling forever.
+		// Normal exits already closed their attempt and cleared the running
+		// slot; this also covers a panic out of fn, so a poisoned worker
+		// can wedge neither the other workers' begin-time scans and ATS
+		// throttling nor their cell reclamation.
+		s.abandon(tx, 0, true)
 		s.setRunning(worker, core.NoTx)
 		w.busy.Store(false)
 	}()
 	s.met.begins.Add(1)
-	tx := &w.tx
 	tx.sys, tx.worker, tx.stx, tx.dtx = s, worker, stx, dtx
 	dec := s.decShard(worker)
 	attempt := 0
 	for {
 		s.mgr.OnBegin(worker, stx, dtx, attempt)
-		tx.reset(globalClock.Load())
+		tx.begin()
 		// Record the optimistic proceed: every attempt that reaches here
-		// decided to run. Settled below — committed, or aborted with the
-		// attempt's wall time charged as undercaution.
-		tok, t0 := -1, int64(0)
+		// decided to run. Settled below — committed, or by abandon.
+		tx.decTok = -1
 		if dec != nil {
-			t0 = s.decNow()
-			tok = dec.Add(decision.Record{
-				Time:     t0,
+			tx.decT0 = s.decNow()
+			tx.decTok = dec.Add(decision.Record{
+				Time:     tx.decT0,
 				Tid:      int32(worker),
 				Stx:      int32(stx),
 				Attempt:  int32(attempt + 1),
@@ -423,25 +496,56 @@ func (s *System) Atomic(worker, stx int, fn func(*Tx) error) error {
 		err, aborted := tx.run(fn)
 		s.setRunning(worker, core.NoTx)
 		if !aborted {
-			if err == nil {
-				if dec != nil {
-					dec.Resolve(tok, decision.OCommitted, 0)
-				}
-				s.met.commits.Add(1)
-				s.commitBookkeeping(w, tx)
+			if err != nil {
+				s.abandon(tx, 0, true)
+				return err
 			}
-			return err
+			w.epoch.at.Store(epochIdle)
+			if dec != nil {
+				dec.Resolve(tx.decTok, decision.OCommitted, 0)
+			}
+			s.met.commits.Add(1)
+			s.commitBookkeeping(w, tx)
+			return nil
 		}
 		s.met.aborts.Add(1)
 		attempt++
 		enemy := s.enemyDTx(tx.enemy)
+		wasted := int64(0)
 		if dec != nil {
 			if enemy != core.NoTx {
-				dec.SetEnemy(tok, int32(enemy), int32(enemy%s.cfg.StaticTxs))
+				dec.SetEnemy(tx.decTok, int32(enemy), int32(enemy%s.cfg.StaticTxs))
 			}
-			dec.Resolve(tok, decision.OAborted, s.decNow()-t0)
+			wasted = s.decNow() - tx.decT0
 		}
+		s.abandon(tx, wasted, false)
 		s.mgr.OnAbort(worker, stx, dtx, enemy, attempt)
+	}
+}
+
+// abandon is the one seam through which an attempt ends without
+// committing: a conflict abort about to retry, an error returned by fn,
+// or a panic unwinding out of Atomic. It returns the attempt's unpublished
+// cells to the worker's pools, idles the epoch slot, and settles the
+// attempt's proceed record as aborted with `wasted` charged as
+// undercaution (0 when no conflict is to blame). leaving marks the end of
+// the whole execution rather than a retry; the manager then drops what it
+// kept for it. A non-idle epoch slot is what marks an attempt as open, so
+// calling this again, or after a commit, does nothing.
+//
+//bfgts:allocfree
+func (s *System) abandon(tx *Tx, wasted int64, leaving bool) {
+	w := tx.w
+	if w.epoch.at.Load() == epochIdle {
+		return
+	}
+	tx.unwindCells()
+	w.epoch.at.Store(epochIdle)
+	if dec := s.decShard(tx.worker); dec != nil {
+		dec.Resolve(tx.decTok, decision.OAborted, wasted)
+	}
+	if leaving && s.leaveObs != nil {
+		s.leaveObs.onLeave(tx.worker, tx.dtx)
 	}
 }
 
@@ -487,9 +591,10 @@ func (s *System) commitBookkeeping(w *workerState, tx *Tx) {
 }
 
 // commit performs TL2 commit: lock the write set in canonical (TVar key)
-// order, validate the read set, publish. The write entries are sorted in
-// place — pooled per-worker storage serving as its own scratch — so the
-// commit path allocates nothing but the published value cells.
+// order, validate the read set, install the buffered cells. The write
+// entries are sorted in place — pooled per-worker storage serving as its
+// own scratch — and each displaced cell goes to the worker's pool, so the
+// commit path allocates nothing.
 //
 //bfgts:allocfree
 //bfgts:lock-rank writes
@@ -528,11 +633,13 @@ func (t *Tx) commit() bool {
 			return t.commitFail(nLocked, e.v)
 		}
 	}
+	// Every written TVar is locked before the clock moves: the ordering
+	// cells.go's claim (1) is built on.
 	commitVersion := globalClock.Add(2)
 	stamp := t.sys.writerStamp(t.dtx)
 	for i := range t.writes {
 		e := &t.writes[i]
-		e.v.val.Store(publish(e.val))
+		e.v.own.install(t.w, e.cell, commitVersion)
 		e.v.lastWriter.Store(stamp)
 		e.v.version.Store(commitVersion)
 	}
@@ -577,13 +684,4 @@ func (t *Tx) readVersionOf(v *tvar) (ver uint64, recorded bool) {
 		return t.reads[i].ver, true
 	}
 	return 0, false
-}
-
-// publish boxes the buffered value into the immutable heap cell concurrent
-// readers will hold — the one allocation a commit makes by design: the
-// cell outlives the transaction and can never be recycled while readers
-// that loaded the pointer are still dereferencing it.
-func publish(val any) *any {
-	boxed := val
-	return &boxed
 }

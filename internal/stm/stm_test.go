@@ -57,14 +57,52 @@ func TestErrorAbortsWithoutSideEffects(t *testing.T) {
 	}
 }
 
+// TestUserPanicPropagates: a panic out of fn reaches the caller, and the
+// poisoned worker leaves nothing behind that the others would pay for —
+// its epoch slot is idle and the cell it had taken is back in its pool, so
+// another worker's write-commit loop still recycles (0 allocs/op) instead
+// of waiting on an attempt that will never end.
 func TestUserPanicPropagates(t *testing.T) {
-	sys := newTestSystem(SchedBackoff, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("user panic swallowed")
-		}
+	sys := newTestSystem(SchedBackoff, 2)
+	v := NewTVar(1 << 20)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("user panic swallowed")
+			}
+		}()
+		sys.Atomic(0, 0, func(tx *Tx) error {
+			v.Write(tx, v.Read(tx)+1)
+			panic("boom")
+		})
 	}()
-	sys.Atomic(0, 0, func(tx *Tx) error { panic("boom") })
+	if v.Peek() != 1<<20 {
+		t.Fatal("panicked transaction published a write")
+	}
+	if got := sys.workers[0].epoch.at.Load(); got != epochIdle {
+		t.Fatalf("poisoned worker still announces epoch %d", got)
+	}
+	if n := poolOf[int](&sys.workers[0]).n; n != 1 {
+		t.Fatalf("poisoned worker's pool holds %d cells, want the 1 its attempt had taken", n)
+	}
+	commit := func() {
+		if err := sys.Atomic(1, 0, func(tx *Tx) error {
+			v.Write(tx, v.Read(tx)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		commit()
+	}
+	if allocs := testing.AllocsPerRun(100, commit); allocs != 0 {
+		t.Fatalf("write-commit loop allocates %.1f objects/op beside a poisoned worker, want 0", allocs)
+	}
+	// The slot itself is usable again.
+	if err := sys.Atomic(0, 0, func(tx *Tx) error { v.Write(tx, 7); return nil }); err != nil || v.Peek() != 7 {
+		t.Fatalf("worker 0 unusable after a panic: err=%v value=%d", err, v.Peek())
+	}
 }
 
 func TestTVarTypes(t *testing.T) {

@@ -15,10 +15,12 @@ type readEntry struct {
 }
 
 // writeEntry buffers a pending value for a TVar (lazy versioning: nothing
-// is published until commit).
+// is published until commit). cell is the *T the attempt filled, carried
+// as an any — pointer-shaped, so nothing is boxed — because the write set
+// is shared by TVars of every type; only v.own knows T again.
 type writeEntry struct {
-	v   *tvar
-	val any
+	v    *tvar
+	cell any
 }
 
 // scanLimit is the set size up to which a linear scan beats the index.
@@ -137,8 +139,8 @@ func (t *Tx) appendRead(v *tvar, ver uint64) {
 // appendWrite buffers a first write to v; indexing mirrors appendRead.
 //
 //bfgts:allocfree
-func (t *Tx) appendWrite(v *tvar, val any) {
-	t.writes = append(t.writes, writeEntry{v: v, val: val})
+func (t *Tx) appendWrite(v *tvar, cell any) {
+	t.writes = append(t.writes, writeEntry{v: v, cell: cell})
 	n := len(t.writes)
 	if len(t.wIdx.slots) == 0 {
 		if n > scanLimit {

@@ -11,7 +11,9 @@
 //   - a document with "traceEvents" (-trace-chrome output) is checked
 //     for Chrome trace_event well-formedness: known phases, non-negative
 //     timestamps, named metadata;
-//   - anything else is a harness reports export (schema v1).
+//   - anything else is a harness reports export (schema v1); stmbench's
+//     optional bytes_per_tx and allocs_per_tx columns, when a report has
+//     them, must hold non-negative numbers.
 //
 // Usage: go run ./scripts/jsonverify FILE
 package main
@@ -20,7 +22,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/decision"
 	"repro/internal/harness"
@@ -76,6 +80,15 @@ func verifyReports(data []byte) {
 		for _, row := range rep.Rows {
 			if len(row) != len(rep.Columns) {
 				fatal(fmt.Sprintf("report %s: row width %d != %d columns", rep.ID, len(row), len(rep.Columns)))
+			}
+			for i, col := range rep.Columns {
+				if col != "bytes_per_tx" && col != "allocs_per_tx" {
+					continue
+				}
+				v, err := strconv.ParseFloat(row[i], 64)
+				if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+					fatal(fmt.Sprintf("report %s: %s = %q, want a non-negative number", rep.ID, col, row[i]))
+				}
 			}
 		}
 	}
