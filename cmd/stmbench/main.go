@@ -8,10 +8,11 @@
 //
 // For every (workload, scheduler, worker-count) cell it reports commit
 // throughput, abort rate, per-transaction latency (mean/p50/p99 from a
-// log-scaled histogram) and the heap traffic of the timed section per
+// log-scaled histogram), the heap traffic of the timed section per
 // committed transaction (bytes/tx, allocs/tx: the runtime.MemStats delta
 // around it, so the workers' own start-up is included and amortized over
-// -ops), and can emit the whole sweep as a schema-v1 JSON export (the same
+// -ops) and how many of those allocations were value cells the STM could
+// not reuse (fresh/tx, from stm.cells.fresh), and can emit the whole sweep as a schema-v1 JSON export (the same
 // format bfgts-sim emits, verified by scripts/jsonverify).
 //
 // Usage:
@@ -19,14 +20,9 @@
 //	stmbench [-workers 2,4,8] [-ops 5000] [-workloads counter,zipf]
 //	         [-keys 256] [-zipf-s 1.2] [-seed 1] [-json-out FILE] [-quiet]
 //	         [-cpuprofile FILE] [-decisions-out FILE] [-trace-chrome FILE]
-//	         [-linear-predict]
 //
-// BFGTS cells additionally report the begin-time probe histograms: how
-// many candidates each prediction visited (probe_len), how many Bloofi
-// directory nodes it touched (probe_nodes), and how many transactions
-// were running (probe_running). -linear-predict disables the Bloofi
-// signature directory so predictions fall back to the linear scan over
-// all worker slots — the A/B lever for the directory's probe savings.
+// BFGTS cells additionally report the begin-time scan histogram: how many
+// running worker slots each prediction visited (probe_len).
 //
 // -cpuprofile writes a pprof CPU profile of the sweep; every worker
 // goroutine carries pprof labels (manager, workload), so `go tool pprof
@@ -77,7 +73,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep (labeled per manager/workload)")
 	decisionsOut := flag.String("decisions-out", "", "write the live decision traces as schema-v2 JSON to this file")
 	traceChrome := flag.String("trace-chrome", "", "write the live decision traces as Chrome trace_event JSON (Perfetto) to this file")
-	linearPredict := flag.Bool("linear-predict", false, "disable the Bloofi signature directory in BFGTS (linear begin-time scans over all worker slots)")
 	flag.Parse()
 
 	workerCounts, err := parseWorkers(*workersCSV)
@@ -128,7 +123,7 @@ func main() {
 			Title: fmt.Sprintf("STM contention managers on the %s workload (%d ops/worker)", wl, *ops),
 			Columns: []string{"scheduler", "workers", "commits", "aborts",
 				"abort_rate", "throughput_ops_s", "mean_us", "p50_us", "p99_us",
-				"bytes_per_tx", "allocs_per_tx"},
+				"bytes_per_tx", "allocs_per_tx", "fresh_cells_per_tx"},
 			Values: map[string]float64{},
 			Notes: []string{
 				fmt.Sprintf("keys=%d zipf_s=%.2f seed=%d", *keys, *zipfS, *seed),
@@ -137,12 +132,12 @@ func main() {
 		}
 		if !*quiet {
 			fmt.Printf("## %s\n", rep.Title)
-			fmt.Printf("%-10s %8s %10s %10s %8s %12s %9s %9s %9s %9s %9s\n",
-				"scheduler", "workers", "commits", "aborts", "abort%", "ops/s", "mean(us)", "p50(us)", "p99(us)", "B/tx", "allocs/tx")
+			fmt.Printf("%-10s %8s %10s %10s %8s %12s %9s %9s %9s %9s %9s %9s\n",
+				"scheduler", "workers", "commits", "aborts", "abort%", "ops/s", "mean(us)", "p50(us)", "p99(us)", "B/tx", "allocs/tx", "fresh/tx")
 		}
 		for _, kind := range schedulers {
 			for _, w := range workerCounts {
-				res, set := runCell(wl, kind, w, *ops, *keys, *zipfS, *seed, record, *linearPredict)
+				res, set := runCell(wl, kind, w, *ops, *keys, *zipfS, *seed, record)
 				addRow(rep, kind, w, res)
 				if !*quiet {
 					printRow(kind, w, res)
@@ -244,12 +239,12 @@ type cellResult struct {
 	lat             stats.Histogram // per-transaction wall latency, ns
 	// Heap traffic of the timed section (runtime.MemStats delta).
 	allocBytes, mallocs uint64
+	// freshCells counts the cells Write had to allocate (stm.cells.fresh).
+	freshCells int64
 
-	// Begin-time probe histograms, BFGTS cells only (nil otherwise).
-	// probeLen counts candidates visited per prediction; probeNodes and
-	// probeRun (directory mode only) count Bloofi nodes touched and
-	// transactions running at probe time.
-	probeLen, probeNodes, probeRun *stats.Histogram
+	// probeLen counts the running slots each begin-time prediction
+	// visited, BFGTS cells only (nil otherwise).
+	probeLen *stats.Histogram
 }
 
 func (r *cellResult) abortRate() float64 {
@@ -267,7 +262,7 @@ func (r *cellResult) throughput() float64 {
 }
 
 // perTx divides a timed-section total by the committed transactions.
-func (r *cellResult) perTx(total uint64) float64 {
+func (r *cellResult) perTx(total int64) float64 {
 	if r.commits == 0 {
 		return 0
 	}
@@ -285,41 +280,30 @@ func addRow(rep *harness.Report, kind stm.SchedulerKind, workers int, r cellResu
 		strconv.FormatFloat(r.lat.Mean()/1e3, 'f', 1, 64),
 		strconv.FormatFloat(float64(r.lat.Percentile(50))/1e3, 'f', 1, 64),
 		strconv.FormatFloat(float64(r.lat.Percentile(99))/1e3, 'f', 1, 64),
-		strconv.FormatFloat(r.perTx(r.allocBytes), 'f', 2, 64),
-		strconv.FormatFloat(r.perTx(r.mallocs), 'f', 3, 64),
+		strconv.FormatFloat(r.perTx(int64(r.allocBytes)), 'f', 2, 64),
+		strconv.FormatFloat(r.perTx(int64(r.mallocs)), 'f', 3, 64),
+		strconv.FormatFloat(r.perTx(r.freshCells), 'f', 4, 64),
 	})
 	key := fmt.Sprintf("%s/w%d/", kind, workers)
 	rep.Values[key+"throughput_ops_s"] = r.throughput()
 	rep.Values[key+"abort_rate"] = r.abortRate()
 	rep.Values[key+"p99_us"] = float64(r.lat.Percentile(99)) / 1e3
-	rep.Values[key+"bytes_per_tx"] = r.perTx(r.allocBytes)
-	rep.Values[key+"allocs_per_tx"] = r.perTx(r.mallocs)
+	rep.Values[key+"bytes_per_tx"] = r.perTx(int64(r.allocBytes))
+	rep.Values[key+"allocs_per_tx"] = r.perTx(int64(r.mallocs))
+	rep.Values[key+"fresh_cells_per_tx"] = r.perTx(r.freshCells)
 	if r.probeLen != nil && r.probeLen.N() > 0 {
 		rep.Values[key+"probe_len_mean"] = r.probeLen.Mean()
 		rep.Values[key+"probe_len_p99"] = float64(r.probeLen.Percentile(99))
 	}
-	if r.probeNodes != nil && r.probeNodes.N() > 0 {
-		rep.Values[key+"probe_nodes_mean"] = r.probeNodes.Mean()
-	}
-	if r.probeRun != nil && r.probeRun.N() > 0 {
-		rep.Values[key+"probe_running_mean"] = r.probeRun.Mean()
-	}
 }
 
 func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
-	fmt.Printf("%-10s %8d %10d %10d %7.1f%% %12.0f %9.1f %9.1f %9.1f %9.2f %9.3f\n",
+	fmt.Printf("%-10s %8d %10d %10d %7.1f%% %12.0f %9.1f %9.1f %9.1f %9.2f %9.3f %9.4f\n",
 		kind, workers, r.commits, r.aborts, 100*r.abortRate(), r.throughput(),
 		r.lat.Mean()/1e3, float64(r.lat.Percentile(50))/1e3, float64(r.lat.Percentile(99))/1e3,
-		r.perTx(r.allocBytes), r.perTx(r.mallocs))
+		r.perTx(int64(r.allocBytes)), r.perTx(int64(r.mallocs)), r.perTx(r.freshCells))
 	if r.probeLen != nil && r.probeLen.N() > 0 {
-		fmt.Printf("%-10s probe_len mean=%.2f p99=%d", "", r.probeLen.Mean(), r.probeLen.Percentile(99))
-		if r.probeNodes != nil && r.probeNodes.N() > 0 {
-			fmt.Printf("  nodes mean=%.2f", r.probeNodes.Mean())
-		}
-		if r.probeRun != nil && r.probeRun.N() > 0 {
-			fmt.Printf("  running mean=%.2f", r.probeRun.Mean())
-		}
-		fmt.Println()
+		fmt.Printf("%-10s probe_len mean=%.2f p99=%d\n", "", r.probeLen.Mean(), r.probeLen.Percentile(99))
 	}
 }
 
@@ -328,13 +312,12 @@ func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
 // wall latency of every Atomic call in a per-worker histogram. With
 // record set it also attaches a per-worker decision trace and returns
 // the set alongside the measurement.
-func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zipfS float64, seed uint64, record, linearPredict bool) (cellResult, *decision.Set) {
+func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zipfS float64, seed uint64, record bool) (cellResult, *decision.Set) {
 	var set *decision.Set
 	if record {
 		set = decision.NewSet(workers, 0)
 	}
-	sys := stm.NewSystem(stm.Config{Workers: workers, StaticTxs: 1, Scheduler: kind,
-		Decisions: set, LinearPredict: linearPredict})
+	sys := stm.NewSystem(stm.Config{Workers: workers, StaticTxs: 1, Scheduler: kind, Decisions: set})
 
 	// txFor builds the per-worker transaction stream for the workload. The
 	// returned func runs one operation (one Atomic call) per invocation.
@@ -421,12 +404,11 @@ func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zi
 	for w := range hists {
 		res.lat.Merge(&hists[w])
 	}
+	reg := metrics.New()
+	sys.SnapshotMetrics(reg)
+	res.freshCells = reg.Counter("stm.cells.fresh").Value()
 	if kind == stm.SchedBFGTS {
-		reg := metrics.New()
-		sys.SnapshotMetrics(reg)
 		res.probeLen = reg.Histogram("stm.predict.probe_len").Stats()
-		res.probeNodes = reg.Histogram("stm.predict.probe_nodes").Stats()
-		res.probeRun = reg.Histogram("stm.predict.probe_running").Stats()
 	}
 	return res, set
 }

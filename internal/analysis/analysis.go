@@ -23,7 +23,8 @@
 //     STM commit path.
 //   - seqlock: //bfgts:seqlock readers must load the epoch before and
 //     after the critical read, test for odd (writer-active) values, and
-//     never dereference a retained pointer before the recheck;
+//     never dereference a retained pointer (or select one of its fields
+//     not declared stable) before the recheck;
 //     //bfgts:seqlock-pub readers of a published double-buffer index must
 //     load it exactly once per receiver and only flip (never reset) it.
 //   - spsc: //bfgts:spsc-producer and //bfgts:spsc-consumer methods of a
@@ -46,7 +47,8 @@
 //	//bfgts:ignore <analyzer> <reason>     on or directly above an offending
 //	                                       line; <analyzer> may be "all"
 //	//bfgts:pin-handoff <where>            on or directly above a Pin call
-//	//bfgts:seqlock <epochField>           on a seqlock reader's doc comment
+//	//bfgts:seqlock <epochField> [<stableField>...]
+//	                                       on a seqlock reader's doc comment
 //	//bfgts:seqlock-pub <idxField>         on a published-index reader's doc
 //	//bfgts:spsc-producer                  on a ring type's push method
 //	//bfgts:spsc-consumer                  on a ring type's pop method

@@ -16,7 +16,8 @@ import (
 //     spsc-consumer, lock-rank) must sit on a function declaration's doc
 //     comment — on a type, var, or free-floating line they bind to
 //     nothing;
-//   - arities: seqlock/seqlock-pub/lock-rank take exactly one argument,
+//   - arities: seqlock takes an epoch field and then any number of
+//     stable-field names, seqlock-pub/lock-rank take exactly one argument,
 //     allocfree and the spsc roles take none, pin-handoff and lock-handoff
 //     need at least a location, and ignore needs an analyzer name AND a
 //     written justification (a bare "//bfgts:ignore determinism" is
@@ -40,7 +41,7 @@ type directiveSpec struct {
 
 var knownDirectives = map[string]directiveSpec{
 	"allocfree":     {docOnly: true, minArgs: 0, maxArgs: 0},
-	"seqlock":       {docOnly: true, minArgs: 1, maxArgs: 1, argsHint: "<epochField>"},
+	"seqlock":       {docOnly: true, minArgs: 1, maxArgs: -1, argsHint: "<epochField> [<stableField>...]"},
 	"seqlock-pub":   {docOnly: true, minArgs: 1, maxArgs: 1, argsHint: "<idxField>"},
 	"spsc-producer": {docOnly: true, minArgs: 0, maxArgs: 0},
 	"spsc-consumer": {docOnly: true, minArgs: 0, maxArgs: 0},

@@ -42,12 +42,11 @@ var gateEntryPoints = map[string][]string{
 		"Read", "Write", "begin", "abortOn", "commit", "reset", "commitFail",
 		"writeSetHas", "readVersionOf", "lookupRead", "lookupWrite",
 		"appendRead", "appendWrite", "sortWrites", "commitBookkeeping",
-		"abandon", "unwindCells", "poolOf", "take", "retire", "unwind",
-		"install", "discard", "reclaimable", "scanEpochs",
+		"abandon", "unwindCells", "poolOf", "take", "put",
+		"install", "discard", "vet",
 		"OnBegin", "OnAbort", "OnCommit", "predict", "suspend", "stallOn",
 		"republish", "validate", "backoff", "jitter", "enemyDTx",
-		"decShard", "decNow", "settleSuspension", "onLeave",
-		"predictDir", "predictLinear", "onRunning", "setRunning",
+		"decShard", "decNow", "settleSuspension", "onLeave", "setRunning",
 	},
 	"stamp": { // TestStampNextAllocFree
 		"Next", "tx", "read", "write", "readSpan", "build", "onCommit",

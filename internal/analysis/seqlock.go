@@ -4,13 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Seqlock pins the two optimistic-reader protocols the concurrent layers
 // depend on, both declared on the reader's doc comment:
 //
-// //bfgts:seqlock <epochField> — a classic retry reader (the STM's TVar
-// read path): the epoch/version cell named by <epochField> must be
+// //bfgts:seqlock <epochField> [<stableField>...] — a classic retry
+// reader (the STM's TVar read path): the epoch/version cell named by
+// <epochField> must be
 //
 //   - loaded at least twice (the before- and after- reads of the critical
 //     section),
@@ -21,7 +23,10 @@ import (
 //   - any pointer loaded inside the critical section may only be
 //     dereferenced after a recheck, and never on the failed branch of one
 //     — a retained pointer after a failed check may point into a torn or
-//     recycled cell.
+//     recycled cell. Selecting a field through the pointer is a
+//     dereference too, except for the <stableField>s: fields written
+//     only when the pointee is made, which a reader may load before the
+//     recheck (the STM's cell id, stored as a hazard).
 //
 // //bfgts:seqlock-pub <idxField> — a published double-buffer reader (the
 // Bloofi AtomicTree's probe-vs-repair protocol, the STM's sigSlot pairs):
@@ -37,8 +42,8 @@ var Seqlock = &Analyzer{
 
 func runSeqlock(pass *Pass) error {
 	pkgFuncs(pass.Files, func(fd *ast.FuncDecl) {
-		if args, ok := directiveArgs(fd.Doc, "seqlock"); ok && len(args) == 1 {
-			checkSeqlockRetry(pass, fd, args[0])
+		if args, ok := directiveArgs(fd.Doc, "seqlock"); ok && len(args) >= 1 {
+			checkSeqlockRetry(pass, fd, args[0], args[1:])
 		}
 		if args, ok := directiveArgs(fd.Doc, "seqlock-pub"); ok && len(args) == 1 {
 			checkSeqlockPub(pass, fd, args[0])
@@ -84,7 +89,7 @@ func exprHasEpochLoad(e ast.Expr, field string, epochVars map[types.Object]bool,
 	return found
 }
 
-func checkSeqlockRetry(pass *Pass, fd *ast.FuncDecl, field string) {
+func checkSeqlockRetry(pass *Pass, fd *ast.FuncDecl, field string, stable []string) {
 	info := pass.TypesInfo
 
 	// Collect epoch loads, the variables they are bound to, pointer loads
@@ -169,9 +174,25 @@ func checkSeqlockRetry(pass *Pass, fd *ast.FuncDecl, field string) {
 		pass.Reportf(fd.Pos(), "seqlock reader %s never tests %s for odd (writer-active) values", fd.Name.Name, field)
 	}
 
-	// Deref rule: a *p of a retained loaded pointer needs a recheck between
-	// the load and the deref, and must not sit on the failed branch of a
-	// recheck (the body of a != check, or the else of a == check).
+	// Deref rule: a *p or p.f of a retained loaded pointer needs a recheck
+	// between the load and the deref, and must not sit on the failed
+	// branch of a recheck (the body of a != check, or the else of a ==
+	// check). p.f is exempt when f is one of the stable fields.
+	checkDeref := func(id *ast.Ident, what string, pos token.Pos, failZone bool) {
+		obj := info.Uses[id]
+		if obj == nil {
+			return
+		}
+		loadPos, tracked := ptrLoads[obj]
+		if !tracked {
+			return
+		}
+		if failZone {
+			pass.Reportf(pos, "seqlock reader %s dereferences %s on the failed %s-check path; a retained pointer is invalid once the recheck fails", fd.Name.Name, what, field)
+		} else if !anyBetween(recheckSites, loadPos, pos) {
+			pass.Reportf(pos, "seqlock reader %s dereferences %s loaded at the start of the critical section without rechecking %s in between", fd.Name.Name, what, field)
+		}
+	}
 	var walk func(n ast.Node, failZone bool)
 	walk = func(n ast.Node, failZone bool) {
 		switch n := n.(type) {
@@ -197,15 +218,12 @@ func checkSeqlockRetry(pass *Pass, fd *ast.FuncDecl, field string) {
 			return
 		case *ast.StarExpr:
 			if id, ok := n.X.(*ast.Ident); ok {
-				obj := info.Uses[id]
-				if obj != nil {
-					if loadPos, tracked := ptrLoads[obj]; tracked {
-						if failZone {
-							pass.Reportf(n.Pos(), "seqlock reader %s dereferences %s on the failed %s-check path; a retained pointer is invalid once the recheck fails", fd.Name.Name, id.Name, field)
-						} else if !anyBetween(recheckSites, loadPos, n.Pos()) {
-							pass.Reportf(n.Pos(), "seqlock reader %s dereferences %s loaded at the start of the critical section without rechecking %s in between", fd.Name.Name, id.Name, field)
-						}
-					}
+				checkDeref(id, id.Name, n.Pos(), failZone)
+			}
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok && !slices.Contains(stable, n.Sel.Name) {
+				if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
+					checkDeref(id, id.Name+"."+n.Sel.Name, n.Pos(), failZone)
 				}
 			}
 		}

@@ -24,7 +24,7 @@ func badSpaced() int {
 	return 4
 }
 
-//bfgts:seqlock // want `//bfgts:seqlock takes 1 argument, got 0`
+//bfgts:seqlock // want `//bfgts:seqlock takes at least 1 argument, got 0`
 func badNoArg() int {
 	return 5
 }

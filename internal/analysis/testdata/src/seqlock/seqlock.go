@@ -152,3 +152,79 @@ func (tv *typed[T]) badGenericFailedDeref() (T, bool) {
 		return *cell, false // want `dereferences cell on the failed version-check path`
 	}
 }
+
+// The STM's cells: the guarded pointer targets a struct, the value is read
+// by field selection, and the cell's id — written only when the cell is
+// made — is loaded before the recheck to publish a hazard.
+
+type hcell[T any] struct {
+	val T
+	id  uint64
+}
+
+type cellVar[T any] struct {
+	c      core
+	val    atomic.Pointer[hcell[T]]
+	hazard atomic.Uint64
+}
+
+//bfgts:seqlock version id
+func (tv *cellVar[T]) okHazardRead(limit uint64) T {
+	for {
+		v1 := tv.c.version.Load()
+		if v1&1 == 1 || v1 > limit {
+			tv.c.abort()
+		}
+		p := tv.val.Load()
+		tv.hazard.Store(p.id)
+		if tv.c.version.Load() == v1 {
+			return p.val
+		}
+	}
+}
+
+//bfgts:seqlock version id
+func (tv *cellVar[T]) badFieldBeforeRecheck(limit uint64) T {
+	for {
+		v1 := tv.c.version.Load()
+		if v1&1 == 1 || v1 > limit {
+			tv.c.abort()
+		}
+		p := tv.val.Load()
+		out := p.val // want `dereferences p.val loaded at the start of the critical section without rechecking version in between`
+		if tv.c.version.Load() == v1 {
+			return out
+		}
+	}
+}
+
+//bfgts:seqlock version
+func (tv *cellVar[T]) badUnlistedStableField(limit uint64) T {
+	for {
+		v1 := tv.c.version.Load()
+		if v1&1 == 1 || v1 > limit {
+			tv.c.abort()
+		}
+		p := tv.val.Load()
+		tv.hazard.Store(p.id) // want `dereferences p.id loaded at the start of the critical section without rechecking version in between`
+		if tv.c.version.Load() == v1 {
+			return p.val
+		}
+	}
+}
+
+//bfgts:seqlock version id
+func (tv *cellVar[T]) badFieldOnFailedBranch() (T, bool) {
+	v1 := tv.c.version.Load()
+	if v1&1 == 1 {
+		var zero T
+		return zero, false
+	}
+	p := tv.val.Load()
+	tv.hazard.Store(p.id)
+	if tv.c.version.Load() == v1 {
+		return p.val, true
+	} else {
+		return p.val, false // want `dereferences p.val on the failed version-check path`
+	}
+}

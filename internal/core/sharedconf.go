@@ -99,26 +99,6 @@ func (c *SharedConf) Add(a, b int, delta float64) {
 	}
 }
 
-// SuspectsInto appends to buf the folded static IDs whose confidence
-// against stx clears threshold, in ascending order — the begin-time
-// suspect set the Bloofi directory is probed with. One atomic load per
-// cell, same row walk a begin-time scan performs per entry, done once.
-// The strict fixed-point comparison matches Load(...) > threshold cell
-// for cell. Callers pass a reused buffer with capacity >= Dim() so the
-// scan never allocates.
-//
-//bfgts:allocfree
-func (c *SharedConf) SuspectsInto(stx int, threshold float64, buf []uint64) []uint64 {
-	base := c.idx(stx) * c.dim
-	limit := uint32(threshold * confFixedOne)
-	for k := 0; k < c.dim; k++ {
-		if c.cells[base+k].Load() > limit {
-			buf = append(buf, uint64(k))
-		}
-	}
-	return buf
-}
-
 // Mean returns the mean confidence across the table — the phase-dynamics
 // signal (high mean = serialized phase, low mean = optimistic phase).
 func (c *SharedConf) Mean() float64 {

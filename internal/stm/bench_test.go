@@ -50,51 +50,40 @@ func BenchmarkSTMContended(b *testing.B) {
 
 // BenchmarkSTMContendedWide oversubscribes the BFGTS manager with worker
 // counts far beyond GOMAXPROCS (the live analog of the 64/256/1024
-// simulated-core scaling runs), Bloofi directory against linear
-// begin-time prediction. Each worker slot gets a dedicated goroutine
-// running a fixed slice of ops so the begin path — suspect-set scan plus
-// directory probe or linear walk over all worker slots — dominates the
-// scheduling cost being compared.
+// simulated-core scaling runs). Each worker slot gets a dedicated
+// goroutine running a fixed slice of ops, so the begin-time walk over all
+// worker slots is a large share of the per-attempt cost.
 func BenchmarkSTMContendedWide(b *testing.B) {
 	for _, workers := range []int{64, 256, 1024} {
-		for _, linear := range []bool{false, true} {
-			mode := "bloofi"
-			if linear {
-				mode = "linear"
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			sys := NewSystem(Config{Workers: workers, StaticTxs: 4, Scheduler: SchedBFGTS})
+			const vars = 64
+			pool := make([]*TVar[int], vars)
+			for i := range pool {
+				pool[i] = NewTVar(0)
 			}
-			b.Run(fmt.Sprintf("workers%d/%s", workers, mode), func(b *testing.B) {
-				sys := NewSystem(Config{
-					Workers: workers, StaticTxs: 4,
-					Scheduler: SchedBFGTS, LinearPredict: linear,
-				})
-				const vars = 64
-				pool := make([]*TVar[int], vars)
-				for i := range pool {
-					pool[i] = NewTVar(0)
-				}
-				opsPer := b.N/workers + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := uint64(w)*0x9e3779b97f4a7c15 + 1
-						for i := 0; i < opsPer; i++ {
-							rng ^= rng << 13
-							rng ^= rng >> 7
-							rng ^= rng << 17
-							v := pool[rng%vars]
-							_ = sys.Atomic(w, int(rng>>32)%4, func(tx *Tx) error {
-								v.Write(tx, v.Read(tx)+1)
-								return nil
-							})
-						}
-					}(w)
-				}
-				wg.Wait()
-				b.ReportMetric(float64(sys.Aborts())/float64(b.N), "aborts/op")
-			})
-		}
+			opsPer := b.N/workers + 1
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := uint64(w)*0x9e3779b97f4a7c15 + 1
+					for i := 0; i < opsPer; i++ {
+						rng ^= rng << 13
+						rng ^= rng >> 7
+						rng ^= rng << 17
+						v := pool[rng%vars]
+						_ = sys.Atomic(w, int(rng>>32)%4, func(tx *Tx) error {
+							v.Write(tx, v.Read(tx)+1)
+							return nil
+						})
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.ReportMetric(float64(sys.Aborts())/float64(b.N), "aborts/op")
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bloofi"
 	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/decision"
@@ -39,13 +38,10 @@ type bfgtsManager struct {
 	stats []bfgtsStat
 	sigs  []sigSlot
 
-	// dir is the Bloofi directory over the running array (nil under
-	// Config.LinearPredict): each occupied worker slot is indexed under
-	// the folded static ID of the transaction running there, maintained
-	// through the System's runningObserver hook so it can never go stale.
-	// probes holds one cursor + scratch per worker (owner-only).
-	dir    *bloofi.AtomicTree
-	probes []bfgtsWorkerProbe
+	// scans holds one histogram per worker of the running slots each
+	// begin-time prediction visited: owner-only, folded into a Registry by
+	// SnapshotMetrics.
+	scans []scanHist
 
 	confThreshold float64
 	incVal        float64
@@ -54,17 +50,11 @@ type bfgtsManager struct {
 	simInterval   int
 }
 
-// bfgtsWorkerProbe is one worker's begin-time probe state: a lock-free
-// directory cursor, the reusable suspect-key buffer (capacity = the
-// confidence table's axis), and plain owner-only histograms folded into
-// a Registry by SnapshotMetrics.
-type bfgtsWorkerProbe struct {
-	probe *bloofi.AtomicProbe
-	sus   []uint64
-
-	lenHist  stats.Histogram // candidates visited per begin prediction
-	nodeHist stats.Histogram // directory nodes visited per prediction
-	runHist  stats.Histogram // running-set size at prediction time
+// scanHist is one worker's begin-time scan histogram, padded to whole
+// cache lines: every prediction writes both ends of it.
+type scanHist struct {
+	stats.Histogram
+	_ [40]byte
 }
 
 // bfgtsStat is one dynamic transaction's history shard.
@@ -147,35 +137,8 @@ func newBFGTSManager(s *System) *bfgtsManager {
 			m.sigs[i].pair[p].w = bloom.NewAtomicFilter(s.cfg.BloomBits, cc.BloomHashes)
 		}
 	}
-	m.probes = make([]bfgtsWorkerProbe, s.cfg.Workers)
-	if !s.cfg.LinearPredict {
-		m.dir = bloofi.NewAtomicTree(bloofi.Config{Capacity: s.cfg.Workers})
-		for i := range m.probes {
-			m.probes[i].probe = bloofi.NewAtomicProbe(m.dir)
-			m.probes[i].sus = make([]uint64, 0, m.conf.Dim())
-		}
-	}
+	m.scans = make([]scanHist, s.cfg.Workers)
 	return m
-}
-
-// onRunning implements runningObserver: mirror the worker's running-slot
-// transition into the directory. Only the slot's owner calls this (the
-// running array has a single mutator per slot), so the leaf mutation
-// needs no synchronization beyond the tree's own; clears are idempotent
-// because Atomic's deferred cleanup re-clears an already cleared slot.
-//
-//bfgts:allocfree
-func (m *bfgtsManager) onRunning(worker, dtx int) {
-	if m.dir == nil {
-		return
-	}
-	if dtx == core.NoTx {
-		if m.dir.Occupied(worker) {
-			m.dir.Clear(worker)
-		}
-		return
-	}
-	m.dir.Set(worker, uint64(m.conf.Fold(dtx%m.sys.cfg.StaticTxs)))
 }
 
 func (m *bfgtsManager) Name() string { return "BFGTS" }
@@ -241,23 +204,15 @@ func (m *bfgtsManager) OnBegin(worker, stx, dtx, attempt int) {
 	}
 }
 
-// predict returns the first running dtx whose confidence against stx
-// clears the threshold, or core.NoTx — through the Bloofi directory when
-// enabled, so only tree-surfaced candidates pay a confidence lookup.
+// predict returns the running dtx in the lowest worker slot, other than
+// the caller's, whose confidence against stx clears the threshold, or
+// core.NoTx. It is the literal begin-time scan: one atomic load of each
+// running slot plus one confidence load per occupied one. At the worker
+// counts one machine keeps runnable this walk beats an index over the
+// slots (BenchmarkSTMContendedWide), whose upkeep every attempt would pay.
 //
 //bfgts:allocfree
 func (m *bfgtsManager) predict(worker, stx int) int {
-	if m.dir != nil {
-		return m.predictDir(worker, stx)
-	}
-	return m.predictLinear(worker, stx)
-}
-
-// predictLinear is the literal begin-time scan: one atomic load of the
-// running slot plus one confidence load per occupied entry.
-//
-//bfgts:allocfree
-func (m *bfgtsManager) predictLinear(worker, stx int) int {
 	running := m.sys.running
 	enemy := core.NoTx
 	scanned := int64(0)
@@ -275,45 +230,7 @@ func (m *bfgtsManager) predictLinear(worker, stx int) int {
 			break
 		}
 	}
-	m.probes[worker].lenHist.Add(scanned)
-	return enemy
-}
-
-// predictDir is the directory-backed scan: compute the exact suspect set
-// from the confidence row, descend only matching subtrees, and re-verify
-// every surfaced candidate against the authoritative running slot and
-// confidence cell. Races with concurrent inserts/repairs can make the
-// probe miss a candidate the linear walk would have caught (the
-// transaction then proceeds optimistically — the TM layer's versioned
-// locks keep it safe) or surface a stale one (rejected by the
-// re-verification), never anything worse.
-//
-//bfgts:allocfree
-func (m *bfgtsManager) predictDir(worker, stx int) int {
-	wp := &m.probes[worker]
-	wp.sus = m.conf.SuspectsInto(stx, m.confThreshold, wp.sus[:0])
-	wp.probe.Reset(wp.sus)
-	enemy := core.NoTx
-	for {
-		slot, ok := wp.probe.Next()
-		if !ok {
-			break
-		}
-		if slot == worker {
-			continue
-		}
-		d := m.sys.running[slot].Load()
-		if d == int64(core.NoTx) {
-			continue
-		}
-		if m.conf.Load(stx, int(d)%m.sys.cfg.StaticTxs) > m.confThreshold {
-			enemy = int(d)
-			break
-		}
-	}
-	wp.lenHist.Add(int64(wp.probe.Candidates()))
-	wp.nodeHist.Add(int64(wp.probe.Nodes()))
-	wp.runHist.Add(int64(m.dir.Len()))
+	m.scans[worker].Add(scanned)
 	return enemy
 }
 

@@ -28,37 +28,36 @@ func (l linked) ok() bool { return l.triple == 3*l.n && l.inverse == ^l.n }
 
 // reclaimStress runs writers on wsys that keep x and y equal, and readers
 // on rsys (possibly another System) that assert, inside their
-// transactions, that every value is whole and that x and y agree. It
-// returns how many times a writer was handed a cell it had been handed
-// before — the recycling the test exists to exercise.
-func reclaimStress(t *testing.T, wsys, rsys *System, writers, readers, commits int) int64 {
+// transactions, that every value is whole, that x and y agree, and that a
+// re-read of x returns what the first read did. Each
+// writer commits at least minCommits times and then goes on until its
+// worker has reused a pooled cell — the recycling the test exists to
+// exercise — or the deadline passes. It returns the writers' reuses.
+func reclaimStress(t *testing.T, wsys, rsys *System, writers, readers int) int64 {
 	t.Helper()
+	minCommits := stressCommits()
+	deadline := time.Now().Add(20 * time.Second)
 	x, y := NewTVar(link(0)), NewTVar(link(0))
 	var stop atomic.Bool
-	var reused atomic.Int64
+	var commits atomic.Int64
 	var wg, rg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			seen := map[*linked]bool{}
-			for i := 0; i < commits; i++ {
-				var cell *linked
+			cells := &wsys.workers[w].cells // owner-written: this goroutine's
+			for i := 0; i < minCommits || cells.reused == 0 && time.Now().Before(deadline); i++ {
 				err := wsys.Atomic(w, 0, func(tx *Tx) error {
 					v := link(x.Read(tx).n + 1)
 					x.Write(tx, v)
 					y.Write(tx, v)
-					cell = tx.writes[tx.lookupWrite(&x.v)].cell.(*linked)
 					return nil
 				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if seen[cell] {
-					reused.Add(1)
-				}
-				seen[cell] = true
+				commits.Add(1)
 			}
 		}(w)
 	}
@@ -75,8 +74,9 @@ func reclaimStress(t *testing.T, wsys, rsys *System, writers, readers, commits i
 			for !stop.Load() {
 				err := rsys.Atomic(w, 1, func(tx *Tx) error {
 					xv, yv := x.Read(tx), y.Read(tx)
-					if !xv.ok() || !yv.ok() || xv != yv {
-						t.Errorf("reader saw x=%+v y=%+v", xv, yv)
+					// The re-read goes through Read's second path.
+					if again := x.Read(tx); !xv.ok() || !yv.ok() || xv != yv || again != xv {
+						t.Errorf("reader saw x=%+v y=%+v, then x=%+v", xv, yv, again)
 						stop.Store(true)
 					}
 					return nil
@@ -85,10 +85,11 @@ func reclaimStress(t *testing.T, wsys, rsys *System, writers, readers, commits i
 					t.Error(err)
 					return
 				}
-				// Yield between attempts, with the epoch idle: on a host
-				// with fewer processors than goroutines a reader preempted
-				// mid-attempt would hold every writer to fresh cells for
-				// its whole time off the processor.
+				// Leave the running table between calls: a BFGTS writer
+				// that predicts a conflict with a reader stalls until the
+				// reader's slot changes, and a reader that never leaves it
+				// holds the writer for the whole spin budget, again and
+				// again up to the escape limit.
 				runtime.Gosched()
 			}
 		}(first + r)
@@ -96,10 +97,14 @@ func reclaimStress(t *testing.T, wsys, rsys *System, writers, readers, commits i
 	wg.Wait()
 	stop.Store(true)
 	rg.Wait()
-	if got, want := x.Peek(), link(uint64(writers*commits)); got != want {
-		t.Fatalf("x = %+v after %d commits, want %+v", got, writers*commits, want)
+	if got, want := x.Peek(), link(uint64(commits.Load())); got != want {
+		t.Fatalf("x = %+v after %d commits, want %+v", got, commits.Load(), want)
 	}
-	return reused.Load()
+	var reused int64
+	for w := 0; w < writers; w++ {
+		reused += wsys.workers[w].cells.reused
+	}
+	return reused
 }
 
 func stressCommits() int {
@@ -115,7 +120,7 @@ func TestReclaimKeepsReadersConsistent(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedBackoff, SchedATS, SchedBFGTS} {
 		t.Run(kind.String(), func(t *testing.T) {
 			sys := NewSystem(Config{Workers: 4, StaticTxs: 2, Scheduler: kind})
-			if reused := reclaimStress(t, sys, sys, 2, 2, stressCommits()); reused == 0 {
+			if reused := reclaimStress(t, sys, sys, 2, 2); reused == 0 {
 				t.Fatal("no cell was ever recycled; the test exercised nothing")
 			}
 		})
@@ -123,14 +128,14 @@ func TestReclaimKeepsReadersConsistent(t *testing.T) {
 }
 
 // TestReclaimHonoursForeignReaders: the readers belong to a second System,
-// so the writers' scans must find their epochs through the process-wide
-// registry.
+// so the writers' snapshots must find their hazards through the
+// process-wide registry.
 func TestReclaimHonoursForeignReaders(t *testing.T) {
 	for _, kind := range []SchedulerKind{SchedBackoff, SchedATS, SchedBFGTS} {
 		t.Run(kind.String(), func(t *testing.T) {
 			wsys := NewSystem(Config{Workers: 2, StaticTxs: 2, Scheduler: kind})
 			rsys := NewSystem(Config{Workers: 2, StaticTxs: 2, Scheduler: kind})
-			if reused := reclaimStress(t, wsys, rsys, 2, 2, stressCommits()); reused == 0 {
+			if reused := reclaimStress(t, wsys, rsys, 2, 2); reused == 0 {
 				t.Fatal("no cell was ever recycled; the test exercised nothing")
 			}
 		})
@@ -188,12 +193,14 @@ func TestPeekDuringCommits(t *testing.T) {
 	}
 }
 
-// TestParkedReaderCostsOnlyFreshCells parks a reader mid-attempt, on a
+// TestParkedReaderCostsPeersNoFreshCells parks a reader mid-attempt, on a
 // channel inside fn, while a writer commits ten pool depths' worth of
-// values. The writer must keep going on fresh cells with a bounded pool;
-// the reader, resumed, must abort or see a consistent snapshot; and once
-// it is out of the way the writer's commits are allocation-free again.
-func TestParkedReaderCostsOnlyFreshCells(t *testing.T) {
+// values. The reader's worker has read before, as a live worker has, so
+// the writer's pool has grown around the one cell its hazard pins; parking
+// it on another cell moves the pin and costs the writer nothing: no fresh
+// cell, no dropped one. The reader, resumed, must abort or see a
+// consistent snapshot.
+func TestParkedReaderCostsPeersNoFreshCells(t *testing.T) {
 	sys := NewSystem(Config{Workers: 2, StaticTxs: 1, Scheduler: SchedBackoff})
 	x, y := NewTVar(link(0)), NewTVar(link(0))
 	bump := func() {
@@ -206,8 +213,11 @@ func TestParkedReaderCostsOnlyFreshCells(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 8; i++ {
-		bump() // warm the writer's pool
+	if err := sys.Atomic(0, 0, func(tx *Tx) error { x.Read(tx); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*cellBatch; i++ {
+		bump() // grow the writer's pool to steady state
 	}
 
 	parked, resume := make(chan struct{}), make(chan struct{})
@@ -233,28 +243,24 @@ func TestParkedReaderCostsOnlyFreshCells(t *testing.T) {
 	}()
 	<-parked
 
-	pool := poolOf[linked](&sys.workers[1])
-	before := x.Peek().n
-	for i := 0; i < 10*cellPoolDepth; i++ {
-		bump()
-		if pool.n > cellPoolDepth {
-			t.Fatalf("pool holds %d cells, bound is %d", pool.n, cellPoolDepth)
-		}
+	cells := &sys.workers[1].cells
+	before, was := x.Peek().n, *cells
+	if allocs := testing.AllocsPerRun(10*cellPoolDepth, bump); allocs != 0 {
+		t.Fatalf("writer allocates %.1f objects/op behind a parked reader, want 0", allocs)
 	}
-	if pool.n != cellPoolDepth {
-		t.Fatalf("pool holds %d cells behind a parked reader, want it full (%d): overflow must go to the GC", pool.n, cellPoolDepth)
+	if got := x.Peek().n - before; got != 10*cellPoolDepth+1 {
+		t.Fatalf("writer advanced x by %d behind a parked reader, want %d", got, 10*cellPoolDepth+1)
 	}
-	if got := x.Peek().n - before; got != 10*cellPoolDepth {
-		t.Fatalf("writer advanced x by %d behind a parked reader, want %d", got, 10*cellPoolDepth)
+	if fresh, dropped := cells.fresh-was.fresh, cells.dropped-was.dropped; fresh != 0 || dropped != 0 {
+		t.Fatalf("behind a parked reader the writer made %d fresh cells and dropped %d, want 0 and 0", fresh, dropped)
+	}
+	if got := cells.reused - was.reused; got != 2*(10*cellPoolDepth+1) {
+		t.Fatalf("writer reused %d cells over %d two-write commits, want one per write", got, 10*cellPoolDepth+1)
 	}
 	close(resume)
 	<-readerDone
 	if attempts < 2 {
 		t.Fatalf("reader committed its parked attempt (attempts = %d); y had moved past its snapshot", attempts)
-	}
-	bump() // first commit after the reader left rescans and finds the pool ready
-	if allocs := testing.AllocsPerRun(100, bump); allocs != 0 {
-		t.Fatalf("writer allocates %.1f objects/op after the parked reader left, want 0", allocs)
 	}
 }
 
@@ -274,12 +280,12 @@ func TestNoInstalledCellHandedOut(t *testing.T) {
 		ok := true
 		check := func(tx *Tx) {
 			for i := range tx.writes {
-				cell, isVar := tx.writes[i].cell.(*linked)
+				c, isVar := tx.writes[i].cell.(*cell[linked])
 				if !isVar {
 					continue // the guard's *int
 				}
 				for _, v := range vars {
-					if v.val.Load() == cell {
+					if v.val.Load() == c {
 						ok = false
 					}
 				}
@@ -331,12 +337,12 @@ func TestNoInstalledCellHandedOut(t *testing.T) {
 	}
 }
 
-// TestEpochSlotsReleasedWithSystem: a collected System takes its slots out
-// of the process-wide registry, so dead Systems do not lengthen every
-// later scan.
-func TestEpochSlotsReleasedWithSystem(t *testing.T) {
-	registered := func(slots []epochSlot) bool {
-		for _, b := range *epochRegistry.blocks.Load() {
+// TestHazardSlotsReleasedWithSystem: a collected System takes its slots
+// out of the process-wide registry, so dead Systems do not lengthen every
+// later snapshot.
+func TestHazardSlotsReleasedWithSystem(t *testing.T) {
+	registered := func(slots []hazardSlot) bool {
+		for _, b := range *hazardRegistry.blocks.Load() {
 			if registeredAs(b, slots) {
 				return true
 			}
@@ -345,17 +351,17 @@ func TestEpochSlotsReleasedWithSystem(t *testing.T) {
 	}
 	kept := NewSystem(Config{Workers: 1, StaticTxs: 1})
 	// The slots alone keep neither their System nor its lease reachable.
-	var blocks [][]epochSlot
+	var blocks [][]hazardSlot
 	for i := 0; i < 16; i++ {
 		sys := NewSystem(Config{Workers: 3, StaticTxs: 1, Scheduler: SchedBFGTS})
 		v := NewTVar(i)
 		if err := sys.Atomic(0, 0, func(tx *Tx) error { v.Write(tx, v.Read(tx)+1); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if !registered(sys.epochs.slots) {
+		if !registered(sys.hazards.slots) {
 			t.Fatal("a live System's slots are not in the registry")
 		}
-		blocks = append(blocks, sys.epochs.slots)
+		blocks = append(blocks, sys.hazards.slots)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, b := range blocks {
@@ -367,7 +373,7 @@ func TestEpochSlotsReleasedWithSystem(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if !registered(kept.epochs.slots) {
+	if !registered(kept.hazards.slots) {
 		t.Fatal("a reachable System lost its registration")
 	}
 }

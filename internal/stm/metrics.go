@@ -55,6 +55,16 @@ func (s *System) SnapshotMetrics(reg *metrics.Registry) {
 	reg.Counter("stm.validation_misses").Add(s.met.validMisses.Load())
 	reg.Counter("stm.sim_updates").Add(s.met.simUpdates.Load())
 	reg.Counter("stm.throttle_waits").Add(s.met.throttleWaits.Load())
+	var cells cellCounts
+	for i := range s.workers {
+		c := &s.workers[i].cells
+		cells.reused += c.reused
+		cells.fresh += c.fresh
+		cells.dropped += c.dropped
+	}
+	reg.Counter("stm.cells.reused").Add(cells.reused)
+	reg.Counter("stm.cells.fresh").Add(cells.fresh)
+	reg.Counter("stm.cells.dropped").Add(cells.dropped)
 	if cr, ok := s.mgr.(ConfidenceReporter); ok {
 		reg.Gauge("stm.mean_confidence").Set(cr.MeanConfidence())
 	}
@@ -65,22 +75,12 @@ func (s *System) SnapshotMetrics(reg *metrics.Registry) {
 		incs, decs := m.conf.Updates()
 		reg.Counter("stm.conf_incs").Add(incs)
 		reg.Counter("stm.conf_decs").Add(decs)
-		// Per-worker begin-probe histograms, merged here because the
-		// Registry is not concurrency-safe. probe_len counts candidates
-		// visited per begin prediction under the Bloofi directory (or
-		// entries scanned, under LinearPredict); probe_nodes and
-		// probe_running exist only in directory mode.
-		lenH := reg.Histogram("stm.predict.probe_len").Stats()
-		nodeH := reg.Histogram("stm.predict.probe_nodes").Stats()
-		runH := reg.Histogram("stm.predict.probe_running").Stats()
-		if lenH != nil { // nil Registry: instruments (and Stats) are nil
-			for w := range m.probes {
-				wp := &m.probes[w]
-				lenH.Merge(&wp.lenHist)
-				if m.dir != nil {
-					nodeH.Merge(&wp.nodeHist)
-					runH.Merge(&wp.runHist)
-				}
+		// Per-worker begin-scan histograms, merged here because the
+		// Registry is not concurrency-safe: running slots visited per
+		// begin-time prediction.
+		if h := reg.Histogram("stm.predict.probe_len").Stats(); h != nil { // nil Registry: nil Stats
+			for w := range m.scans {
+				h.Merge(&m.scans[w].Histogram)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 
 // workerState is one worker's shard of System state: the pooled Tx (with
 // its read/write sets and probe indexes), the commit-time line buffers,
-// the value-cell pools and epoch slot of cells.go, and a private jitter
+// the value-cell pools and hazard slot of cells.go, and a private jitter
 // generator. Pooling per worker instead of through a free list works
 // because Atomic is single-flight per worker slot (the busy guard
 // enforces it), so nothing is ever contended — the retry loop reuses the
@@ -22,14 +22,14 @@ type workerState struct {
 	lineBuf  []uint64
 	writeBuf []uint64
 
-	// epoch is this worker's slot in the process-wide registry: the
-	// running attempt's readVersion, or epochIdle. Non-idle is also what
-	// marks an attempt as open (see System.abandon).
-	epoch *epochSlot
-	// safe caches the largest scanEpochs result this worker has seen.
-	safe uint64
+	// hazard is this worker's slot in the process-wide registry: the id of
+	// the cell it last read.
+	hazard *hazardSlot
 	// pools holds one *cellPool[T] per value type this worker has written.
 	pools []any
+	// cells counts this worker's takes and drops; only the owner writes
+	// it, SnapshotMetrics reads it between workloads.
+	cells cellCounts
 
 	// busy rejects concurrent Atomic calls on the same worker slot, which
 	// would silently corrupt the pooled Tx.
@@ -37,14 +37,21 @@ type workerState struct {
 
 	// Pad the shard to a whole number of cache lines so adjacent workers'
 	// hot fields do not false-share.
-	_ [40]byte
+	_ [24]byte
+}
+
+// cellCounts is one worker's cell traffic: takes served from its pools,
+// takes that made a fresh cell, and cells dropped to the garbage collector
+// because a pool was full.
+type cellCounts struct {
+	reused, fresh, dropped int64
 }
 
 // init seeds the worker's private RNG (any fixed odd constant works; the
-// worker index decorrelates streams) and binds its epoch slot.
-func (w *workerState) init(worker int, epoch *epochSlot) {
+// worker index decorrelates streams) and binds its hazard slot.
+func (w *workerState) init(worker int, hazard *hazardSlot) {
 	w.tx.w = w
-	w.epoch = epoch
+	w.hazard = hazard
 	w.rng = 0x9e3779b97f4a7c15 ^ uint64(worker+1)*0x2545f4914f6cdd1d
 }
 

@@ -7,8 +7,50 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
+
+// TestBFGTSPredictTable pins the begin-time prediction on hand-set running
+// slots and confidences: it returns the dtx running in the lowest worker
+// slot whose static transaction's confidence against the caller's clears
+// the threshold (0.30), skipping the caller's own slot and empty ones.
+// Six workers, three static transactions: the dtx in slot w running stx s
+// is 3w+s; the caller is worker 2 running stx 0.
+func TestBFGTSPredictTable(t *testing.T) {
+	const caller, stx = 2, 0
+	no := core.NoTx
+	for _, tc := range []struct {
+		name    string
+		running [6]int          // dtx per worker slot
+		conf    map[int]float64 // confidence of stx 0 against each static tx
+		want    int
+	}{
+		{"empty machine", [6]int{no, no, no, no, no, no}, map[int]float64{1: 1, 2: 1}, no},
+		{"only self above threshold", [6]int{no, no, 3*2 + 1, no, no, no}, map[int]float64{1: 1}, no},
+		{"below threshold", [6]int{no, 3*1 + 1, no, 3*3 + 1, no, no}, map[int]float64{1: 0.25}, no},
+		{"no confidence learned", [6]int{0, 3*1 + 1, no, 3*3 + 2, 3*4 + 0, no}, nil, no},
+		{"lowest slot wins", [6]int{no, 3*1 + 2, no, no, 3*4 + 2, 3*5 + 2}, map[int]float64{2: 1}, 3*1 + 2},
+		{"skips slots below threshold", [6]int{3*0 + 1, 3*1 + 1, no, 3*3 + 2, no, 3*5 + 2}, map[int]float64{1: 0.25, 2: 0.5}, 3*3 + 2},
+		{"skips empty slots", [6]int{no, no, no, no, 3*4 + 1, no}, map[int]float64{1: 0.5}, 3*4 + 1},
+		{"skips self below others", [6]int{no, no, 3*2 + 2, no, 3*4 + 2, no}, map[int]float64{2: 1}, 3*4 + 2},
+		{"same static tx elsewhere", [6]int{no, no, no, 3*3 + 0, no, no}, map[int]float64{0: 0.75}, 3*3 + 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := NewSystem(Config{Workers: 6, StaticTxs: 3, Scheduler: SchedBFGTS})
+			m := sys.mgr.(*bfgtsManager)
+			for other, c := range tc.conf {
+				m.conf.Add(stx, other, c)
+			}
+			for w, dtx := range tc.running {
+				sys.setRunning(w, dtx)
+			}
+			if got := m.predict(caller, stx); got != tc.want {
+				t.Fatalf("predict = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
 
 // TestBFGTSBeginEscapeWatchdog pins the starvation hardening of the BFGTS
 // begin loop: with the confidence table saturated and an "enemy" parked in

@@ -14,16 +14,16 @@
 //     TVar's version, Write fills a cell the attempt owns, and commit
 //     installs it with one pointer swap. No value is ever boxed.
 //   - The reclamation layer (cells.go) recycles the cells commits
-//     displace. Each worker announces its attempt's read version in an
-//     epoch slot; a displaced cell is filed under its commit version and
-//     reused once every announced epoch in the process has reached that
-//     version — from then on no reader can hold it. Each worker keeps at
-//     most cellPoolDepth cells per value type, overflow goes to the
-//     garbage collector, and a reader stalled mid-attempt costs the other
-//     workers fresh allocations, never correctness. A pooled cell keeps
-//     the value it last held reachable until the cell is reused: a TVar
-//     of large slices or maps can pin up to that many old values per
-//     worker.
+//     displace, under hazards: before it trusts a cell, each read stores
+//     the cell's id in its worker's hazard slot, and a worker reuses only
+//     pooled cells that a pass over the other workers' slots found
+//     unnamed — one pass per batch of cellBatch cells. A reader parked
+//     anywhere pins at most one cell, so the fresh cells a stall costs
+//     the other workers do not grow with its length. Each worker keeps
+//     at most cellPoolDepth cells per value type and overflow goes to the
+//     garbage collector. A pooled cell keeps the value it last held
+//     reachable until the cell is reused: a TVar of large slices or maps
+//     can pin up to that many old values per worker.
 //   - The pooling layer (pool.go, txset.go) keeps the per-attempt state
 //     allocation-free: each worker owns one pooled Tx whose
 //     open-addressing read/write sets and commit scratch survive attempts,
@@ -51,7 +51,7 @@
 // # Sharing TVars across Systems
 //
 // TVars may be shared by transactions of different Systems: the version
-// clock and the epoch registry are process-wide, TVar identities are
+// clock and the hazard registry are process-wide, TVar identities are
 // process-unique, and commit lock order is canonical across Systems, so
 // isolation and cell reclamation hold globally.
 // The caveat is scheduling, not correctness: conflict attribution stamps
@@ -88,13 +88,6 @@ type Config struct {
 	// contention manager bound to the System under construction.
 	NewManager func(*System) ContentionManager
 
-	// LinearPredict disables the BFGTS manager's Bloofi directory and
-	// restores the literal linear walk of the running array at begin
-	// time. The directory is a best-effort index re-verified against the
-	// authoritative running/confidence state, so this is an escape hatch
-	// and differential-test oracle, not a semantic knob.
-	LinearPredict bool
-
 	// Decisions, if non-nil, receives one record per scheduling decision
 	// (each Atomic attempt's proceed, each BFGTS spin/yield suspension)
 	// into the per-worker shards; it must have at least Workers shards.
@@ -119,15 +112,11 @@ type System struct {
 	// workers holds the per-worker shards: pooled Tx, commit scratch, cell
 	// pools and jitter state. No worker ever touches another's shard.
 	workers []workerState
-	// epochs keeps the workers' epoch slots registered for as long as the
-	// System is reachable.
-	epochs *epochLease
+	// hazards keeps the workers' hazard slots registered for as long as
+	// the System is reachable.
+	hazards *hazardLease
 
 	mgr ContentionManager
-	// runObs is mgr when it observes running-slot transitions (the BFGTS
-	// Bloofi directory), else nil. Kept as a dedicated field so the hot
-	// path pays one nil check instead of a type assertion per store.
-	runObs runningObserver
 	// leaveObs is mgr when it keeps per-execution state that must be
 	// dropped when an execution ends without committing, else nil.
 	leaveObs leaveObserver
@@ -156,14 +145,14 @@ func NewSystem(cfg Config) *System {
 		id:      systemIDs.Add(1),
 		running: make([]atomic.Int64, cfg.Workers),
 		workers: make([]workerState, cfg.Workers),
-		epochs:  leaseEpochs(cfg.Workers),
+		hazards: leaseHazards(cfg.Workers),
 		epoch:   time.Now(),
 	}
 	for i := range s.running {
 		s.running[i].Store(int64(core.NoTx))
 	}
 	for i := range s.workers {
-		s.workers[i].init(i, &s.epochs.slots[i])
+		s.workers[i].init(i, &s.hazards.slots[i])
 	}
 	switch {
 	case cfg.NewManager != nil:
@@ -175,19 +164,8 @@ func NewSystem(cfg Config) *System {
 	default:
 		s.mgr = &backoffManager{sys: s}
 	}
-	s.runObs, _ = s.mgr.(runningObserver)
 	s.leaveObs, _ = s.mgr.(leaveObserver)
 	return s
-}
-
-// runningObserver is an optional ContentionManager extension notified
-// after every running-slot transition, from the goroutine owning the
-// worker slot. The BFGTS manager uses it to mirror the running array
-// into its Bloofi directory; the notification must be cheap and must
-// tolerate redundant clears (the deferred cleanup in Atomic re-clears an
-// already cleared slot).
-type runningObserver interface {
-	onRunning(worker, dtx int)
 }
 
 // leaveObserver is an optional ContentionManager extension told, on the
@@ -199,17 +177,12 @@ type leaveObserver interface {
 	onLeave(worker, dtx int)
 }
 
-// setRunning publishes the dTxID executing on a worker slot (or
-// core.NoTx) and forwards the transition to the manager's observer. All
-// mutations of the running array flow through here so any index the
-// manager keeps over it can never go stale.
+// setRunning publishes the dTxID executing on a worker slot, or
+// core.NoTx: the one mutation of the running array.
 //
 //bfgts:allocfree
 func (s *System) setRunning(worker, dtx int) {
 	s.running[worker].Store(int64(dtx))
-	if s.runObs != nil {
-		s.runObs.onRunning(worker, dtx)
-	}
 }
 
 // Manager returns the System's contention manager.
@@ -294,13 +267,13 @@ type tvar struct {
 // TVar is a transactional variable holding a value of type T.
 type TVar[T any] struct {
 	// val is the published cell. Committers swap it while holding the
-	// version lock; a displaced cell is recycled under the epoch rule of
-	// cells.go, so a loaded pointer may be dereferenced only after a
-	// version recheck and only inside an announced attempt (or Peek).
-	// It sits directly before v.version: a TVar is 48 bytes, so it may
-	// straddle a cache line, and the two words every Read loads should
-	// not be the ones that end up apart.
-	val atomic.Pointer[T]
+	// version lock; a displaced cell is recycled under the hazard rule of
+	// cells.go, so a loaded cell's value may be copied only after its id
+	// is in the reader's hazard slot and the version rechecked (or inside
+	// a Peek). It sits directly before v.version: a TVar is 48 bytes, so
+	// it may straddle a cache line, and the two words every Read loads
+	// should not be the ones that end up apart.
+	val atomic.Pointer[cell[T]]
 	v   tvar
 }
 
@@ -309,41 +282,48 @@ func NewTVar[T any](initial T) *TVar[T] {
 	tv := &TVar[T]{}
 	tv.v.key = tvarKeys.Add(1)
 	tv.v.own = tv
-	tv.val.Store(&initial)
+	c := newCell[T]()
+	c.val = initial
+	tv.val.Store(c)
 	return tv
 }
 
 // Read returns the TVar's value inside a transaction, aborting the attempt
-// (via txAbort) when a consistent view no longer exists.
+// (via txAbort) when a consistent view no longer exists. Both paths store
+// the loaded cell's id in the worker's hazard slot before the version
+// recheck that licenses copying from it (cells.go).
 //
 //bfgts:allocfree
-//bfgts:seqlock version
+//bfgts:seqlock version id
 func (tv *TVar[T]) Read(tx *Tx) T {
 	v := &tv.v
 	if i := tx.lookupWrite(v); i >= 0 {
-		return *tx.writes[i].cell.(*T)
+		return tx.writes[i].cell.(*cell[T]).val
 	}
+	hazard := &tx.w.hazard.id
 	if i := tx.lookupRead(v); i >= 0 {
 		// Re-read: the recorded version was ≤ readVersion when first read;
 		// any later commit moved the version past readVersion, so observing
 		// a change means this attempt is doomed. The cell load precedes the
 		// version check; a committer swaps the cell before unlocking, so an
 		// unchanged (even) version proves the cell is the recorded version's.
-		cell := tv.val.Load()
+		c := tv.val.Load()
+		hazard.Store(c.id)
 		if v.version.Load() != tx.reads[i].ver {
 			tx.abortOn(v)
 		}
-		return *cell
+		return c.val
 	}
 	for {
 		v1 := v.version.Load()
 		if v1&1 == 1 || v1 > tx.readVersion {
 			tx.abortOn(v)
 		}
-		cell := tv.val.Load()
+		c := tv.val.Load()
+		hazard.Store(c.id)
 		if v.version.Load() == v1 {
 			tx.appendRead(v, v1)
-			return *cell
+			return c.val
 		}
 	}
 }
@@ -355,28 +335,28 @@ func (tv *TVar[T]) Read(tx *Tx) T {
 func (tv *TVar[T]) Write(tx *Tx, val T) {
 	v := &tv.v
 	if i := tx.lookupWrite(v); i >= 0 {
-		*tx.writes[i].cell.(*T) = val
+		tx.writes[i].cell.(*cell[T]).val = val
 		return
 	}
-	cell := poolOf[T](tx.w).take(tx)
-	*cell = val
-	tx.appendWrite(v, cell)
+	c := poolOf[T](tx.w).take(tx.w)
+	c.val = val
+	tx.appendWrite(v, c)
 }
 
 // Peek reads the committed value outside any transaction. It is safe from
 // any goroutine, concurrently with commits: it waits out a committer
 // holding the TVar's lock and returns a value some commit published whole.
 //
-//bfgts:seqlock version
+//bfgts:seqlock version id
 func (tv *TVar[T]) Peek() T {
 	peekers.Add(1)
 	defer peekers.Add(-1)
 	for {
 		v1 := tv.v.version.Load()
 		if v1&1 == 0 {
-			cell := tv.val.Load()
+			c := tv.val.Load()
 			if tv.v.version.Load() == v1 {
-				return *cell
+				return c.val
 			}
 		}
 		runtime.Gosched()
@@ -401,9 +381,9 @@ type Tx struct {
 
 	enemy int64 // writer stamp attributed to the last conflict, or 0
 
-	// scanned is set once the attempt has rescanned the epochs for a
-	// reusable cell (Tx.reclaimable).
-	scanned bool
+	// open marks a running attempt: set by begin, cleared when the attempt
+	// commits or is abandoned.
+	open bool
 
 	// decTok/decT0 identify the attempt's proceed record in the decision
 	// trace (-1 when recording is off or the record was dropped) and the
@@ -412,20 +392,17 @@ type Tx struct {
 	decT0  int64
 }
 
-// begin opens an attempt on the pooled Tx, keeping all storage: it draws
-// the read version and announces it in the worker's epoch slot before any
-// TVar is touched — the order cells.go's reclamation argument rests on.
+// begin opens an attempt on the pooled Tx, keeping all storage.
 //
 //bfgts:allocfree
 func (t *Tx) begin() {
 	t.readVersion = globalClock.Load()
-	t.w.epoch.at.Store(t.readVersion)
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	t.rIdx.reset()
 	t.wIdx.reset()
 	t.enemy = 0
-	t.scanned = false
+	t.open = true
 }
 
 // abortOn dooms the attempt over a conflict on v, unwinding through the
@@ -500,7 +477,7 @@ func (s *System) Atomic(worker, stx int, fn func(*Tx) error) error {
 				s.abandon(tx, 0, true)
 				return err
 			}
-			w.epoch.at.Store(epochIdle)
+			tx.open = false
 			if dec != nil {
 				dec.Resolve(tx.decTok, decision.OCommitted, 0)
 			}
@@ -526,21 +503,19 @@ func (s *System) Atomic(worker, stx int, fn func(*Tx) error) error {
 // abandon is the one seam through which an attempt ends without
 // committing: a conflict abort about to retry, an error returned by fn,
 // or a panic unwinding out of Atomic. It returns the attempt's unpublished
-// cells to the worker's pools, idles the epoch slot, and settles the
-// attempt's proceed record as aborted with `wasted` charged as
-// undercaution (0 when no conflict is to blame). leaving marks the end of
-// the whole execution rather than a retry; the manager then drops what it
-// kept for it. A non-idle epoch slot is what marks an attempt as open, so
-// calling this again, or after a commit, does nothing.
+// cells to the worker's pools, closes the attempt, and settles its
+// proceed record as aborted with `wasted` charged as undercaution (0 when
+// no conflict is to blame). leaving marks the end of the whole execution
+// rather than a retry; the manager then drops what it kept for it.
+// Calling this again, or after a commit, does nothing.
 //
 //bfgts:allocfree
 func (s *System) abandon(tx *Tx, wasted int64, leaving bool) {
-	w := tx.w
-	if w.epoch.at.Load() == epochIdle {
+	if !tx.open {
 		return
 	}
 	tx.unwindCells()
-	w.epoch.at.Store(epochIdle)
+	tx.open = false
 	if dec := s.decShard(tx.worker); dec != nil {
 		dec.Resolve(tx.decTok, decision.OAborted, wasted)
 	}
@@ -633,13 +608,13 @@ func (t *Tx) commit() bool {
 			return t.commitFail(nLocked, e.v)
 		}
 	}
-	// Every written TVar is locked before the clock moves: the ordering
-	// cells.go's claim (1) is built on.
+	// Every written TVar is locked before its cell is swapped: the
+	// ordering cells.go's claim (1) is built on.
 	commitVersion := globalClock.Add(2)
 	stamp := t.sys.writerStamp(t.dtx)
 	for i := range t.writes {
 		e := &t.writes[i]
-		e.v.own.install(t.w, e.cell, commitVersion)
+		e.v.own.install(t.w, e.cell)
 		e.v.lastWriter.Store(stamp)
 		e.v.version.Store(commitVersion)
 	}

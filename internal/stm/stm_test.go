@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -59,9 +60,9 @@ func TestErrorAbortsWithoutSideEffects(t *testing.T) {
 
 // TestUserPanicPropagates: a panic out of fn reaches the caller, and the
 // poisoned worker leaves nothing behind that the others would pay for —
-// its epoch slot is idle and the cell it had taken is back in its pool, so
-// another worker's write-commit loop still recycles (0 allocs/op) instead
-// of waiting on an attempt that will never end.
+// its attempt is closed and the cell it had taken is back in its pool, and
+// another worker's write-commit loop still recycles (0 allocs/op) past the
+// one cell the poisoned worker's hazard slot still names.
 func TestUserPanicPropagates(t *testing.T) {
 	sys := newTestSystem(SchedBackoff, 2)
 	v := NewTVar(1 << 20)
@@ -79,8 +80,8 @@ func TestUserPanicPropagates(t *testing.T) {
 	if v.Peek() != 1<<20 {
 		t.Fatal("panicked transaction published a write")
 	}
-	if got := sys.workers[0].epoch.at.Load(); got != epochIdle {
-		t.Fatalf("poisoned worker still announces epoch %d", got)
+	if sys.workers[0].tx.open {
+		t.Fatal("poisoned worker's attempt is still open")
 	}
 	if n := poolOf[int](&sys.workers[0]).n; n != 1 {
 		t.Fatalf("poisoned worker's pool holds %d cells, want the 1 its attempt had taken", n)
@@ -93,11 +94,16 @@ func TestUserPanicPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		commit()
+	for i := 0; i < 4*cellBatch; i++ {
+		commit() // grow the pool past a vetting batch
 	}
+	fresh := sys.workers[1].cells.fresh
 	if allocs := testing.AllocsPerRun(100, commit); allocs != 0 {
 		t.Fatalf("write-commit loop allocates %.1f objects/op beside a poisoned worker, want 0", allocs)
+	}
+	// AllocsPerRun floors the mean; the cell counter does not.
+	if n := sys.workers[1].cells.fresh - fresh; n != 0 {
+		t.Fatalf("write-commit loop made %d fresh cells beside a poisoned worker, want 0", n)
 	}
 	// The slot itself is usable again.
 	if err := sys.Atomic(0, 0, func(tx *Tx) error { v.Write(tx, 7); return nil }); err != nil || v.Peek() != 7 {
@@ -263,7 +269,12 @@ func TestAbortsAreCounted(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				sys.Atomic(w, 0, func(tx *Tx) error {
-					hot.Write(tx, hot.Read(tx)+1)
+					v := hot.Read(tx)
+					// Give a peer the processor between the read and the
+					// commit, so conflicts happen on a host with fewer
+					// processors than workers too.
+					runtime.Gosched()
+					hot.Write(tx, v+1)
 					return nil
 				})
 			}

@@ -15,9 +15,9 @@ type readEntry struct {
 }
 
 // writeEntry buffers a pending value for a TVar (lazy versioning: nothing
-// is published until commit). cell is the *T the attempt filled, carried
-// as an any — pointer-shaped, so nothing is boxed — because the write set
-// is shared by TVars of every type; only v.own knows T again.
+// is published until commit). cell is the *cell[T] the attempt filled,
+// carried as an any — pointer-shaped, so nothing is boxed — because the
+// write set is shared by TVars of every type; only v.own knows T again.
 type writeEntry struct {
 	v    *tvar
 	cell any

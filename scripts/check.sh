@@ -35,12 +35,16 @@ go test -race -short -count=1 -timeout 300s \
 	-run 'TestAtomicTreeMatchesTree|TestAtomicTreeRepairNoStaleBits|TestAtomicTreeConcurrentStress' \
 	./internal/bloofi/
 # The STM's cell reclamation: readers asserting whole, agreeing values
-# while writers recycle (one System and two), Peek against commits, a
-# reader parked mid-attempt, the single-worker take/retire property, and
-# the panic/error exits. A cell reused under a reader is a plain write
-# racing a plain read, so the detector sees it even when the values agree.
+# while writers recycle (one System and two, at one, two and four
+# processors), Peek against commits, a reader parked mid-attempt, the
+# single-worker take/put property, and the panic/error exits. A cell
+# reused under a reader is a plain write racing a plain read, so the
+# detector sees it even when the values agree.
+go test -race -short -count=1 -timeout 300s -cpu 1,2,4 \
+	-run 'TestReclaimKeepsReadersConsistent|TestReclaimHonoursForeignReaders' \
+	./internal/stm/
 go test -race -short -count=1 -timeout 300s \
-	-run 'TestReclaimKeepsReadersConsistent|TestReclaimHonoursForeignReaders|TestPeekDuringCommits|TestParkedReaderCostsOnlyFreshCells|TestNoInstalledCellHandedOut|TestUserPanicPropagates|TestErrorExitSettlesExecution' \
+	-run 'TestPeekDuringCommits|TestParkedReaderCostsPeersNoFreshCells|TestNoInstalledCellHandedOut|TestUserPanicPropagates|TestErrorExitSettlesExecution' \
 	./internal/stm/
 go test -race "$@" ./...
 # The benchmark program is a module of its own (bench/go.mod), so ./...

@@ -12,8 +12,8 @@
 //     for Chrome trace_event well-formedness: known phases, non-negative
 //     timestamps, named metadata;
 //   - anything else is a harness reports export (schema v1); stmbench's
-//     optional bytes_per_tx and allocs_per_tx columns, when a report has
-//     them, must hold non-negative numbers.
+//     optional bytes_per_tx, allocs_per_tx and fresh_cells_per_tx
+//     columns, when a report has them, must hold non-negative numbers.
 //
 // Usage: go run ./scripts/jsonverify FILE
 package main
@@ -82,7 +82,7 @@ func verifyReports(data []byte) {
 				fatal(fmt.Sprintf("report %s: row width %d != %d columns", rep.ID, len(row), len(rep.Columns)))
 			}
 			for i, col := range rep.Columns {
-				if col != "bytes_per_tx" && col != "allocs_per_tx" {
+				if col != "bytes_per_tx" && col != "allocs_per_tx" && col != "fresh_cells_per_tx" {
 					continue
 				}
 				v, err := strconv.ParseFloat(row[i], 64)
