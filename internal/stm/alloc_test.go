@@ -142,29 +142,33 @@ func TestCommitPathAllocs(t *testing.T) {
 
 // TestPredictPathAllocFree pins the BFGTS begin-time prediction at zero
 // allocations per call: the walk over the running slots, a hit and a miss,
-// with the slot stores between them.
+// with the slot stores between them. The walk is the only predictor; its
+// subtest keeps the name it had when it was the linear fallback beside the
+// Bloofi directory.
 func TestPredictPathAllocFree(t *testing.T) {
-	sys := NewSystem(Config{Workers: 8, StaticTxs: 4, Scheduler: SchedBFGTS})
-	m := sys.mgr.(*bfgtsManager)
-	// Learned confidence so the walk has enemies to find.
-	m.conf.Add(0, 1, 1.0)
-	m.conf.Add(0, 2, 1.0)
-	run := func() {
-		sys.setRunning(3, 1)
-		sys.setRunning(5, 2)
-		sys.setRunning(6, 3)
-		if enemy := m.predict(0, 0); enemy < 0 {
-			t.Fatal("saturated confidence predicted no enemy")
+	t.Run("linear", func(t *testing.T) {
+		sys := NewSystem(Config{Workers: 8, StaticTxs: 4, Scheduler: SchedBFGTS})
+		m := sys.mgr.(*bfgtsManager)
+		// Learned confidence so the walk has enemies to find.
+		m.conf.Add(0, 1, 1.0)
+		m.conf.Add(0, 2, 1.0)
+		run := func() {
+			sys.setRunning(3, 1)
+			sys.setRunning(5, 2)
+			sys.setRunning(6, 3)
+			if enemy := m.predict(0, 0); enemy < 0 {
+				t.Fatal("saturated confidence predicted no enemy")
+			}
+			sys.setRunning(3, core.NoTx)
+			sys.setRunning(5, core.NoTx)
+			sys.setRunning(6, core.NoTx)
+			if m.predict(0, 0) >= 0 {
+				t.Fatal("empty machine predicted an enemy")
+			}
 		}
-		sys.setRunning(3, core.NoTx)
-		sys.setRunning(5, core.NoTx)
-		sys.setRunning(6, core.NoTx)
-		if m.predict(0, 0) >= 0 {
-			t.Fatal("empty machine predicted an enemy")
+		run() // warm
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Fatalf("predict cycle allocates %.1f objects/op, want 0", allocs)
 		}
-	}
-	run() // warm
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("predict cycle allocates %.1f objects/op, want 0", allocs)
-	}
+	})
 }
