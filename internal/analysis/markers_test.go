@@ -24,8 +24,7 @@ var gateEntryPoints = map[string][]string{
 		"LineWriteHeld",
 	},
 	"sim": { // TestEngineDispatchAllocFree / TestShardHotPathAllocFree
-		"At", "After", "AfterArg", "AtHandle", "AfterHandle",
-		"AtArgHandle", "AfterArgHandle", "Step", "push", "pop",
+		"AtHandle", "AfterHandle", "atOp", "afterOp", "Step", "push", "pop",
 		"PeekKey", "Publish", "MinOther", "probeShared", "drainInbound",
 		"processDrained", "waitHorizon", "inboundEmpty",
 	},

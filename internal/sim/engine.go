@@ -12,18 +12,12 @@
 // single-threaded and event ties break on insertion order.
 package sim
 
-import "sync"
-
 // Handle names a long-lived func() registered with an engine via
 // Register. Scheduling by handle keeps the event heap free of pointers,
 // so sift operations are plain memmoves with no GC write barriers — the
 // engine's push/pop was the hottest edge in the whole simulation profile
 // before handles, and most of that was barrier bookkeeping.
 type Handle int32
-
-// ArgHandle names a registered func(uint64) (see RegisterArg); the
-// argument rides in the event itself, snapshotted at schedule time.
-type ArgHandle int32
 
 // Engine is a discrete-event scheduler. Events fire in (time, insertion
 // sequence) order, which makes simulations deterministic.
@@ -43,62 +37,43 @@ type Engine struct {
 	ownSeq uint64
 	events eventHeap
 
-	// Handler tables. Registered handlers live for the engine's lifetime;
-	// one-shot funcs (the closure-based At/After/AfterArg API) occupy a
-	// recycled slot until they fire.
-	handlers       []func()
-	argHandlers    []func(uint64)
-	oneShot        []func()
-	oneShotFree    []int32
-	oneShotArg     []func(uint64)
-	oneShotArgFree []int32
+	// handlers holds the registered funcs (they live until reset).
+	// dispatch runs every op-coded event: target names the actor (the
+	// runner's thread id), op what it does next, and arg is a value
+	// snapshotted when the event was scheduled. One dispatcher per engine
+	// replaces a registered closure per actor and step.
+	handlers []func()
+	dispatch func(target int32, op uint8, arg uint64)
 }
 
 // NewEngine returns an engine at time zero with no pending events.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.now = &e.ownNow
-	e.seq = &e.ownSeq
-	e.events.ev = getEventBuf()
+	e.reset(nil, nil)
 	return e
 }
 
-// NewLaneEngine returns an engine whose clock and push counter live
-// outside it, shared with the other lanes of a sharded simulation. The
-// caller advances nothing directly: Step still moves the clock, but every
-// lane sees the move immediately, so cross-lane scheduling ("wake thread
-// 12 one cycle from now") lands at the right absolute time even when the
-// target lane has not fired an event for a while.
-func NewLaneEngine(clock *int64, seq *uint64) *Engine {
-	return &Engine{now: clock, seq: seq, events: eventHeap{ev: getEventBuf()}}
-}
-
-// eventBufPool carries event-heap backing arrays from one engine to the
-// next. A heap's depth is set by the run, not the thread count (stale
-// generation-guarded checks pile up by the thousand), so a sweep of short
-// simulations would otherwise regrow it from zero in every cell.
-var eventBufPool sync.Pool // of *[]event
-
-func getEventBuf() []event {
-	if p, ok := eventBufPool.Get().(*[]event); ok {
-		return *p
+// reset returns the engine to time zero with no pending events and no
+// registered handlers, keeping the heap's and the handler table's storage
+// and the dispatcher for the next simulation. A nil clock makes it
+// self-clocked; a lane engine of a sharded simulation gets the clock and
+// push counter it shares with the other lanes. Step still moves the clock,
+// but every lane sees the move immediately, so cross-lane scheduling
+// ("wake thread 12 one cycle from now") lands at the right absolute time
+// even when the target lane has not fired an event for a while.
+func (e *Engine) reset(clock *int64, seq *uint64) {
+	e.ownNow, e.ownSeq = 0, 0
+	if clock == nil {
+		clock, seq = &e.ownNow, &e.ownSeq
 	}
-	return nil
-}
-
-// Release hands the engine's event storage to the next engine. The engine
-// must not schedule or fire events afterwards.
-func (e *Engine) Release() {
-	buf := e.events.ev[:0]
-	e.events.ev = nil
-	eventBufPool.Put(&buf)
+	e.now, e.seq = clock, seq
+	e.events.ev = e.events.ev[:0]
+	clear(e.handlers)
+	e.handlers = e.handlers[:0]
 }
 
 // Now returns the current simulated time in cycles.
 func (e *Engine) Now() int64 { return *e.now }
-
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.events.ev) }
 
 // NoPending is the PeekTime sentinel when no events are scheduled: any
 // finite event time compares strictly below it.
@@ -108,7 +83,7 @@ const NoPending = int64(1<<63 - 1)
 // or NoPending when the heap is empty. This is the conservative-DES
 // lookahead horizon: between Now and PeekTime no event can fire, so an
 // actor may execute straight-line work locally and commit the elapsed
-// time with a single At call — as long as it stays strictly below the
+// time with a single atOp call — as long as it stays strictly below the
 // horizon, the global event order is indistinguishable from having
 // scheduled every intermediate step. (Strictly: an event landing exactly
 // on the horizon gets a fresh sequence number and so fires after the
@@ -138,26 +113,17 @@ func (e *Engine) PeekKey() (t int64, seq uint64, ok bool) {
 }
 
 // Register adds a long-lived handler and returns its Handle for AtHandle /
-// AfterHandle scheduling. Handlers are never freed; register once per
-// continuation, not per event.
+// AfterHandle scheduling. Handlers live until the engine is reset;
+// register once per continuation, not per event.
 func (e *Engine) Register(fn func()) Handle {
 	e.handlers = append(e.handlers, fn)
 	return Handle(len(e.handlers) - 1)
 }
 
-// RegisterArg adds a long-lived argument-taking handler for
-// AfterArgHandle scheduling.
-func (e *Engine) RegisterArg(fn func(uint64)) ArgHandle {
-	e.argHandlers = append(e.argHandlers, fn)
-	return ArgHandle(len(e.argHandlers) - 1)
-}
-
-// Event kinds: which handler table the event's index points into.
+// Event kinds: a registered handler, or an op for the dispatcher.
 const (
-	evHandler    = uint8(iota) // handlers[h]()
-	evArgHandler               // argHandlers[h](arg)
-	evOneShot                  // oneShot[h](), slot recycled after firing
-	evOneShotArg               // oneShotArg[h](arg), slot recycled
+	evHandler = uint8(iota) // handlers[h]()
+	evOp                    // dispatch(h, op, arg)
 )
 
 // AtHandle schedules a registered handler to run at absolute time t.
@@ -180,76 +146,23 @@ func (e *Engine) AfterHandle(d int64, h Handle) {
 	e.AtHandle(*e.now+d, h)
 }
 
-// AtArgHandle schedules a registered argument-taking handler at absolute
-// time t, with arg snapshotted into the event.
+// atOp schedules the dispatcher to run (target, op, arg) at absolute time
+// t. Like AtHandle it panics on a time in the past.
 //
 //bfgts:allocfree
-func (e *Engine) AtArgHandle(t int64, h ArgHandle, arg uint64) {
+func (e *Engine) atOp(t int64, target int32, op uint8, arg uint64) {
 	if t < *e.now {
 		panic("sim: event scheduled in the past")
 	}
 	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: int32(h), arg: arg, kind: evArgHandler})
+	e.events.push(event{time: t, seq: *e.seq, arg: arg, h: target, kind: evOp, op: op})
 }
 
-// AfterArgHandle schedules a registered argument-taking handler d cycles
-// from now.
+// afterOp schedules (target, op, arg) d cycles from now.
 //
 //bfgts:allocfree
-func (e *Engine) AfterArgHandle(d int64, h ArgHandle, arg uint64) {
-	e.AtArgHandle(*e.now+d, h, arg)
-}
-
-// At schedules fn to run at absolute time t via a recycled one-shot slot.
-// Steady-state cost matches handle scheduling except for one pointer
-// store; hot paths should still prefer registered handles.
-//
-//bfgts:allocfree
-func (e *Engine) At(t int64, fn func()) {
-	if t < *e.now {
-		panic("sim: event scheduled in the past")
-	}
-	var h int32
-	if n := len(e.oneShotFree); n > 0 {
-		h = e.oneShotFree[n-1]
-		e.oneShotFree = e.oneShotFree[:n-1]
-		e.oneShot[h] = fn
-	} else {
-		e.oneShot = append(e.oneShot, fn)
-		h = int32(len(e.oneShot) - 1)
-	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: h, kind: evOneShot})
-}
-
-// After schedules fn to run d cycles from now. Negative delays panic.
-//
-//bfgts:allocfree
-func (e *Engine) After(d int64, fn func()) {
-	e.At(*e.now+d, fn)
-}
-
-// AfterArg schedules fn(arg) to run d cycles from now, carrying the
-// argument in the event so callers can reuse one long-lived closure for
-// events that must snapshot a value at schedule time.
-//
-//bfgts:allocfree
-func (e *Engine) AfterArg(d int64, fn func(uint64), arg uint64) {
-	t := *e.now + d
-	if t < *e.now {
-		panic("sim: event scheduled in the past")
-	}
-	var h int32
-	if n := len(e.oneShotArgFree); n > 0 {
-		h = e.oneShotArgFree[n-1]
-		e.oneShotArgFree = e.oneShotArgFree[:n-1]
-		e.oneShotArg[h] = fn
-	} else {
-		e.oneShotArg = append(e.oneShotArg, fn)
-		h = int32(len(e.oneShotArg) - 1)
-	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: h, arg: arg, kind: evOneShotArg})
+func (e *Engine) afterOp(d int64, target int32, op uint8, arg uint64) {
+	e.atOp(*e.now+d, target, op, arg)
 }
 
 // Step fires the next event, if any, advancing time to it. It reports
@@ -262,21 +175,10 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.events.pop()
 	*e.now = ev.time
-	switch ev.kind {
-	case evHandler:
+	if ev.kind == evHandler {
 		e.handlers[ev.h]()
-	case evArgHandler:
-		e.argHandlers[ev.h](ev.arg)
-	case evOneShot:
-		fn := e.oneShot[ev.h]
-		e.oneShot[ev.h] = nil // don't pin the closure past its dispatch
-		e.oneShotFree = append(e.oneShotFree, ev.h)
-		fn()
-	default: // evOneShotArg
-		fn := e.oneShotArg[ev.h]
-		e.oneShotArg[ev.h] = nil
-		e.oneShotArgFree = append(e.oneShotArgFree, ev.h)
-		fn(ev.arg)
+	} else {
+		e.dispatch(ev.h, ev.op, ev.arg)
 	}
 	return true
 }
@@ -292,15 +194,17 @@ func (e *Engine) Run(done func() bool) {
 	}
 }
 
-// event is a pending occurrence. It holds no pointers — the handler is an
-// index into one of the engine's tables — so the heap's backing array is
-// never scanned by the GC and sift swaps compile to barrier-free copies.
+// event is a pending occurrence. It holds no pointers — h indexes the
+// handler table, or names the dispatcher's target with op saying what it
+// does — so the heap's backing array is never scanned by the GC and sift
+// swaps compile to barrier-free copies.
 type event struct {
 	time int64
 	seq  uint64
 	arg  uint64
 	h    int32
 	kind uint8
+	op   uint8
 }
 
 // eventHeap is a binary min-heap of events stored by value, ordered by

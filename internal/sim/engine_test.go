@@ -2,12 +2,18 @@ package sim
 
 import "testing"
 
+// at and after schedule a one-off func through a freshly registered
+// handle.
+func at(e *Engine, t int64, fn func()) { e.AtHandle(t, e.Register(fn)) }
+
+func after(e *Engine, d int64, fn func()) { e.AfterHandle(d, e.Register(fn)) }
+
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.After(30, func() { got = append(got, 3) })
-	e.After(10, func() { got = append(got, 1) })
-	e.After(20, func() { got = append(got, 2) })
+	after(e, 30, func() { got = append(got, 3) })
+	after(e, 10, func() { got = append(got, 1) })
+	after(e, 20, func() { got = append(got, 2) })
 	e.Run(nil)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("fire order = %v, want [1 2 3]", got)
@@ -22,7 +28,7 @@ func TestEngineTiesBreakOnInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		at(e, 5, func() { got = append(got, i) })
 	}
 	e.Run(nil)
 	for i, v := range got {
@@ -35,9 +41,9 @@ func TestEngineTiesBreakOnInsertionOrder(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []int64
-	e.After(10, func() {
+	after(e, 10, func() {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
+		after(e, 5, func() { trace = append(trace, e.Now()) })
 	})
 	e.Run(nil)
 	if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
@@ -47,13 +53,13 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastEventPanics(t *testing.T) {
 	e := NewEngine()
-	e.After(10, func() {
+	after(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	e.Run(nil)
 }
@@ -62,14 +68,14 @@ func TestEngineRunStopsOnPredicate(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		e.At(int64(i), func() { fired++ })
+		at(e, int64(i), func() { fired++ })
 	}
 	e.Run(func() bool { return fired == 3 })
 	if fired != 3 {
 		t.Fatalf("fired = %d, want 3", fired)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
+	if len(e.events.ev) != 7 {
+		t.Fatalf("pending = %d, want 7", len(e.events.ev))
 	}
 }
 
@@ -85,9 +91,9 @@ func TestEnginePeekTime(t *testing.T) {
 	if got := e.PeekTime(); got != NoPending {
 		t.Fatalf("PeekTime on empty engine = %d, want NoPending", got)
 	}
-	e.At(30, func() {})
-	e.At(10, func() {})
-	e.At(20, func() {})
+	at(e, 30, func() {})
+	at(e, 10, func() {})
+	at(e, 20, func() {})
 	if got := e.PeekTime(); got != 10 {
 		t.Fatalf("PeekTime = %d, want 10 (the earliest event)", got)
 	}
@@ -115,9 +121,9 @@ func TestEnginePeekTime(t *testing.T) {
 func TestEngineBatchCommitOnHorizon(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	e.At(100, func() { got = append(got, "pending") })
+	at(e, 100, func() { got = append(got, "pending") })
 	// Batched actor: skips its intermediate steps and lands on the horizon.
-	e.At(100, func() { got = append(got, "batched") })
+	at(e, 100, func() { got = append(got, "batched") })
 	e.Run(nil)
 	if len(got) != 2 || got[0] != "pending" || got[1] != "batched" {
 		t.Fatalf("horizon tie order = %v, want [pending batched]", got)
@@ -128,15 +134,17 @@ func TestEngineHandleScheduling(t *testing.T) {
 	e := NewEngine()
 	var got []string
 	h := e.Register(func() { got = append(got, "h") })
-	ah := e.RegisterArg(func(v uint64) { got = append(got, string(rune('a'+v))) })
+	e.dispatch = func(target int32, op uint8, arg uint64) {
+		got = append(got, string(rune('a'+target))+string(rune('0'+op))+string(rune('a'+arg)))
+	}
 
 	e.AtHandle(10, h)
 	e.AfterHandle(20, h)
-	e.AtArgHandle(15, ah, 1)
-	e.AfterArgHandle(5, ah, 2)
+	e.atOp(15, 1, 2, 1)
+	e.afterOp(5, 0, 3, 2)
 	e.Run(nil)
-	// t=5 arg 2 ("c"), t=10 handle, t=15 arg 1 ("b"), t=20 handle.
-	want := []string{"c", "h", "b", "h"}
+	// t=5 op (0, 3, 2), t=10 handle, t=15 op (1, 2, 1), t=20 handle.
+	want := []string{"a3c", "h", "b2b", "h"}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -153,11 +161,11 @@ func TestEngineHandleScheduling(t *testing.T) {
 func TestEngineHandlePastEventPanics(t *testing.T) {
 	e := NewEngine()
 	h := e.Register(func() {})
-	ah := e.RegisterArg(func(uint64) {})
-	e.After(10, func() {
+	e.dispatch = func(int32, uint8, uint64) {}
+	after(e, 10, func() {
 		for _, try := range []func(){
 			func() { e.AtHandle(5, h) },
-			func() { e.AtArgHandle(5, ah, 0) },
+			func() { e.atOp(5, 0, 0, 0) },
 		} {
 			func() {
 				defer func() {
@@ -172,23 +180,45 @@ func TestEngineHandlePastEventPanics(t *testing.T) {
 	e.Run(nil)
 }
 
-// TestEngineMixedTieOrder interleaves closure and handle events at one
-// instant: insertion order must still be the only tiebreak, regardless of
-// which scheduling API each event used.
+// TestEngineMixedTieOrder interleaves handle and op events at one instant:
+// insertion order must still be the only tiebreak, regardless of which
+// scheduling API each event used.
 func TestEngineMixedTieOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	e.dispatch = func(target int32, _ uint8, _ uint64) { got = append(got, int(target)) }
 	h0 := e.Register(func() { got = append(got, 0) })
-	h2 := e.RegisterArg(func(uint64) { got = append(got, 2) })
 	e.AtHandle(50, h0)
-	e.At(50, func() { got = append(got, 1) })
-	e.AtArgHandle(50, h2, 0)
-	e.At(50, func() { got = append(got, 3) })
+	e.atOp(50, 1, 0, 0)
+	at(e, 50, func() { got = append(got, 2) })
+	e.atOp(50, 3, 0, 0)
 	e.Run(nil)
+	if len(got) != 4 {
+		t.Fatalf("fired %v, want four events", got)
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("mixed tie order = %v, want ascending", got)
 		}
+	}
+}
+
+// TestEngineResetKeepsNothingPending pins what a recycled engine starts
+// from: time zero, an empty heap and an empty handler table.
+func TestEngineResetKeepsNothingPending(t *testing.T) {
+	e := NewEngine()
+	after(e, 10, func() {})
+	after(e, 20, func() {})
+	e.Step()
+	e.reset(nil, nil)
+	if e.Now() != 0 || len(e.events.ev) != 0 || len(e.handlers) != 0 {
+		t.Fatalf("after reset: now %d, pending %d, handlers %d", e.Now(), len(e.events.ev), len(e.handlers))
+	}
+	fired := false
+	after(e, 5, func() { fired = true })
+	e.Run(nil)
+	if !fired || e.Now() != 5 {
+		t.Fatalf("recycled engine: fired %v at %d, want true at 5", fired, e.Now())
 	}
 }
 

@@ -60,6 +60,7 @@ type coreState struct {
 	idle      int64
 	everBusy  bool
 	switchIn  Handle // completes the context switch to current
+	onSwitch  func() // what switchIn runs; bound once per coreState
 }
 
 // Machine models the CPUs and the OS scheduler. The runner interacts with
@@ -80,13 +81,43 @@ type Machine struct {
 
 // NewMachine creates a machine with nCores cores.
 func NewMachine(eng *Engine, nCores int, costs OSCosts) *Machine {
-	m := &Machine{Eng: eng, Costs: costs}
-	for i := 0; i < nCores; i++ {
-		c := &coreState{id: i}
-		c.switchIn = eng.Register(func() { m.switchedIn(c) })
-		m.cores = append(m.cores, c)
-	}
+	m := &Machine{}
+	m.reset(eng, nCores, costs)
 	return m
+}
+
+// reset empties the machine for a new simulation of nCores cores on eng,
+// which must itself be freshly reset. OnDispatch is kept; the core and
+// thread objects of earlier simulations, and their ready queues' storage,
+// are reused.
+func (m *Machine) reset(eng *Engine, nCores int, costs OSCosts) {
+	m.Eng, m.Costs = eng, costs
+	m.cores = recycle(m.cores, nCores)
+	for i, c := range m.cores {
+		*c = coreState{id: i, ready: c.ready[:0], onSwitch: c.onSwitch}
+		if c.onSwitch == nil {
+			c.onSwitch = func() { m.switchedIn(c) }
+		}
+		c.switchIn = eng.Register(c.onSwitch)
+	}
+	m.threads = m.threads[:0]
+	m.live = 0
+}
+
+// recycle returns s resliced to length n. Objects past len(s) left there
+// by earlier use are kept, and only missing ones are allocated; the
+// caller reinitialises every element it gets.
+func recycle[T any](s []*T, n int) []*T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]*T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i, p := range s {
+		if p == nil {
+			s[i] = new(T)
+		}
+	}
+	return s
 }
 
 // NumCores returns the core count.
@@ -103,8 +134,9 @@ func (m *Machine) CurrentOn(c int) *Thread { return m.cores[c].current }
 
 // AddThread creates a thread pinned to the given core, initially ready.
 func (m *Machine) AddThread(core int) *Thread {
-	t := &Thread{ID: len(m.threads), Core: core, State: ThReady}
-	m.threads = append(m.threads, t)
+	m.threads = recycle(m.threads, len(m.threads)+1)
+	t := m.threads[len(m.threads)-1]
+	*t = Thread{ID: len(m.threads) - 1, Core: core, State: ThReady}
 	m.cores[core].ready = append(m.cores[core].ready, t)
 	m.live++
 	return t

@@ -33,7 +33,7 @@ func newHarness(nCores int) (*Engine, *Machine, *testRunner) {
 func compute(e *Engine, r *testRunner, d int64) func(*Thread) {
 	return func(t *Thread) {
 		t.Charge(CatNonTx, d)
-		e.After(d, func() { r.dispatch(t) })
+		after(e, d, func() { r.dispatch(t) })
 	}
 }
 
@@ -151,7 +151,7 @@ func TestMachinePreemption(t *testing.T) {
 	r.steps[a.ID] = []func(*Thread){
 		func(t *Thread) {
 			t.Charge(CatNonTx, 2000)
-			e.After(2000, func() {
+			after(e, 2000, func() {
 				if !m.ShouldPreempt(t) {
 					panic("expected preemption to be due")
 				}
@@ -173,7 +173,7 @@ func TestMachineShouldPreemptRequiresWaiter(t *testing.T) {
 	a := m.AddThread(0)
 	r.steps[a.ID] = []func(*Thread){func(t *Thread) {
 		t.Charge(CatNonTx, 5000)
-		e.After(5000, func() {
+		after(e, 5000, func() {
 			if m.ShouldPreempt(t) {
 				panic("preemption signalled with empty ready queue")
 			}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/stamp"
 )
 
 // TestEngineDispatchAllocFree proves the event churn cycle — schedule one
@@ -12,16 +15,16 @@ import (
 // allocation per push.
 func TestEngineDispatchAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
-	argFn := func(uint64) {}
+	h := e.Register(func() {})
+	e.dispatch = func(int32, uint8, uint64) {}
 	for i := 0; i < 64; i++ { // grow the heap's backing array once
-		e.After(int64(i), fn)
+		e.AfterHandle(int64(i), h)
 	}
 	for e.Step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
-		e.AfterArg(2, argFn, 7)
+		e.AfterHandle(1, h)
+		e.afterOp(2, 3, opAccess, 7)
 		e.Step()
 		e.Step()
 	})
@@ -34,28 +37,77 @@ func TestEngineDispatchAllocFree(t *testing.T) {
 // pending-event population (one event in flight per simulated thread).
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
-	fn := func() {}
+	e.dispatch = func(int32, uint8, uint64) {}
 	const depth = 64
 	for i := 0; i < depth; i++ {
-		e.After(int64(i%17), fn)
+		e.afterOp(int64(i%17), int32(i), opAccess, 0)
 	}
-	// One extra round so the heap and the one-shot slot table have grown
-	// past the steady-state population (each iteration below holds depth+1
-	// events between its push and its pop) before the timer starts.
-	e.After(0, fn)
+	// One extra round so the heap has grown past the steady-state
+	// population (each iteration below holds depth+1 events between its
+	// push and its pop) before the timer starts.
+	e.afterOp(0, 0, opAccess, 0)
 	e.Step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(int64(i%31), fn)
+		e.afterOp(int64(i%31), int32(i%depth), opAccess, 0)
 		e.Step()
 	}
 }
 
-// TestRunnerScratchPoolParallel exercises the shared thread-scratch pool
-// from concurrent runners (the harness's worker-pool shape) under the race
-// detector, and checks that a run on recycled scratch is cycle-identical to
-// the run that warmed it — pooling must not leak state between runs.
+// cellSetupBudget is what a warm 64-thread cell may allocate from NewRunner
+// through buildResult beyond its manager: the programs the workload builds
+// for the threads (about 150 B each) and the Result. Everything else — the
+// thread slab and its scratch, engines, machines, the TM's directory, the
+// manager's RNG, the programs' access buffers — comes from a recycled
+// shell. Before shells, the same cell allocated 132 KB in 1 781
+// allocations.
+const (
+	cellSetupBytes   = 12 << 10
+	cellSetupMallocs = 240
+)
+
+// TestCellSetupAllocBudget gates the recycled set-up with exact counts: the
+// MemStats delta across one warm Fig. 4a-shaped cell (16 cores × 4
+// threads, intruder under Backoff), not a floored per-run mean.
+func TestCellSetupAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops shells at random")
+	}
+	f, _ := stamp.ByName("intruder")
+	cfg := func() RunConfig {
+		return RunConfig{
+			Cores:          16,
+			ThreadsPerCore: 4,
+			Seed:           1,
+			Workload:       f.New(400),
+			NewManager:     managerFactory("backoff"),
+			MaxCycles:      2_000_000_000,
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	NewRunner(cfg()).Run() // warm: the shell grows to the cell's shape
+	c := cfg()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := NewRunner(c).Run()
+	runtime.ReadMemStats(&m1)
+	if res.Commits != 400 {
+		t.Fatalf("cell committed %d of 400", res.Commits)
+	}
+	bytes, mallocs := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+	t.Logf("warm cell: %d B in %d allocations", bytes, mallocs)
+	if bytes > cellSetupBytes || mallocs > cellSetupMallocs {
+		t.Errorf("warm cell allocated %d B in %d allocations, budget %d B in %d",
+			bytes, mallocs, cellSetupBytes, cellSetupMallocs)
+	}
+}
+
+// TestRunnerScratchPoolParallel exercises the shared runner-shell pool
+// (thread slab, scratch, engines, TM) from concurrent runners (the
+// harness's worker-pool shape) under the race detector, and checks that a
+// run in a recycled shell is cycle-identical to the run that warmed it —
+// recycling must not leak state between runs.
 func TestRunnerScratchPoolParallel(t *testing.T) {
 	run := func(seed uint64) *Result {
 		w := newSynth("pool", 1, 30, 4)
@@ -81,7 +133,7 @@ func TestRunnerScratchPoolParallel(t *testing.T) {
 			defer wg.Done()
 			seed := uint64(g + 1)
 			first := run(seed)
-			second := run(seed) // reuses scratch released by the first run
+			second := run(seed) // reuses the shell released by the first run
 			if first.Makespan != second.Makespan || first.Commits != second.Commits {
 				t.Errorf("seed %d: pooled rerun diverged: makespan %d vs %d, commits %d vs %d",
 					seed, first.Makespan, second.Makespan, first.Commits, second.Commits)

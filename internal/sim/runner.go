@@ -249,7 +249,7 @@ type threadCtx struct {
 	lane *laneState
 	dom  *domainState
 
-	resume func() // continuation to run when (re)dispatched
+	resume uint8 // op to run when (re)dispatched
 
 	// Current transaction execution.
 	desc     *workload.TxDesc
@@ -276,14 +276,12 @@ type threadCtx struct {
 	stallWaiters []*threadCtx
 	beginWaiters []*threadCtx
 
-	// Variant data for the cached continuations below: the pending begin
-	// decision and beginSpin's (target, grace) arguments. At most one
-	// control-flow event is pending per thread, so plain fields suffice;
-	// only the generation-guarded checks (which can coexist with newer
-	// control flow) snapshot state into the event via AfterArg.
-	beginRes   sched.BeginResult
-	spinTarget int
-	spinGrace  int
+	// beginRes is the pending begin decision, acted on by opBeginAct. At
+	// most one control-flow event is pending per thread, so a plain field
+	// suffices; values that must be snapshotted when an event is scheduled
+	// (the wait generation of the guarded checks, beginSpin's target and
+	// grace) ride in the event's arg.
+	beginRes sched.BeginResult
 	// batchHolder carries the NACKing transaction from a horizon-batched
 	// access to the stall continuation that re-enters the engine at the
 	// access's logical completion time. No pin is needed: the completion
@@ -304,39 +302,101 @@ type threadCtx struct {
 	decStallStart int64
 	beginIndex    int64 // global OnBegin index of the current attempt
 
-	*ctxScratch
+	ctxScratch
+}
 
-	// Cached continuations, bound once per run by bindContinuations.
-	// The func forms exist for the resume hook (called directly on
-	// dispatch); everything scheduled through the engine goes by
-	// registered Handle so the event heap stays pointer-free.
-	contFetchNext  func()
-	contNonTx      func()
-	contTryBegin   func()
-	contStepAccess func()
+// Thread ops: what a thread does when its engine event fires. The first
+// four are also the resume ops a thread runs when the machine hands it its
+// core back.
+const (
+	opFetchNext    = uint8(iota) // fetch the next transaction
+	opNonTx                      // continue the pre-transaction compute
+	opTryBegin                   // consult the contention manager
+	opStepAccess                 // continue the transaction body
+	opNonTxStep                  // a compute chunk ended: preempt or go on
+	opBeginAct                   // act on beginRes once its overhead elapsed
+	opBeginSpin                  // grace recheck; arg packs (target, grace)
+	opAccess                     // the per-event access completes
+	opPostAccess                 // quantum check after a batched access
+	opBatchStall                 // a batched access was NACKed by batchHolder
+	opCommit                     // the hardware commit latency elapsed
+	opPostCommit                 // the manager's commit overhead elapsed
+	opRollback                   // the undo-log walk elapsed
+	opPostAbort                  // the manager's backoff elapsed
+	opAbort                      // roll the transaction back
+	opSpinCheck                  // begin-spin preemption check; arg: generation
+	opStallTimeout               // NACK stall budget ran out; arg: generation
+)
 
-	hNonTxStep    Handle
-	hTryBegin     Handle
-	hBeginAct     Handle
-	hBeginSpin    Handle
-	hStepAccess   Handle
-	hAccess       Handle
-	hPostAccess   Handle
-	hBatchStall   Handle
-	hCommit       Handle
-	hPostCommit   Handle
-	hRollback     Handle
-	hPostAbort    Handle
-	hAbort        Handle
-	hSpinCheck    ArgHandle
-	hStallTimeout ArgHandle
+// step is every engine's dispatcher: it runs one op of thread tid.
+func (r *Runner) step(tid int32, op uint8, arg uint64) {
+	ctx := &r.ctxs[tid]
+	switch op {
+	case opFetchNext:
+		r.fetchNext(ctx)
+	case opNonTx:
+		r.runNonTx(ctx)
+	case opTryBegin:
+		r.tryBegin(ctx)
+	case opStepAccess:
+		r.stepAccess(ctx)
+	case opNonTxStep:
+		r.resumeWith(ctx, opNonTx)
+	case opBeginAct:
+		r.actOnBegin(ctx)
+	case opBeginSpin:
+		r.beginSpin(ctx, int(int32(arg)), int(arg>>32))
+	case opAccess:
+		r.performAccess(ctx)
+	case opPostAccess:
+		r.resumeWith(ctx, opStepAccess)
+	case opBatchStall:
+		holder := ctx.batchHolder
+		ctx.batchHolder = nil
+		r.lineStall(ctx, holder)
+	case opCommit:
+		r.finishCommit(ctx)
+	case opPostCommit:
+		r.resumeWith(ctx, opFetchNext)
+	case opRollback:
+		r.finishAbort(ctx)
+	case opPostAbort:
+		r.resumeWith(ctx, opTryBegin)
+	case opAbort:
+		r.abortTx(ctx)
+	case opSpinCheck:
+		r.beginSpinCheck(ctx, arg)
+	case opStallTimeout:
+		r.stallTimeout(ctx, arg)
+	}
+}
+
+// resumeWith makes op the thread's resume op, lets the OS preempt the
+// thread if its quantum expired, and otherwise runs op at once.
+func (r *Runner) resumeWith(ctx *threadCtx, op uint8) {
+	ctx.resume = op
+	if r.maybePreempt(ctx) {
+		return
+	}
+	r.step(int32(ctx.tid), op, 0)
+}
+
+// at schedules op for the thread at absolute time t on its lane.
+func (c *threadCtx) at(t int64, op uint8, arg uint64) {
+	c.lane.eng.atOp(t, int32(c.tid), op, arg)
+}
+
+// after schedules op for the thread d cycles from now on its lane.
+func (c *threadCtx) after(d int64, op uint8, arg uint64) {
+	c.lane.eng.afterOp(d, int32(c.tid), op, arg)
 }
 
 // ctxScratch holds a thread context's reusable allocations: the commit-path
-// line buffers, the prediction-classification slots, and the exact-
-// similarity profiler's sets and scratch filters. Scratches are pooled
-// across runs, so repeated simulations in one process (parameter sweeps,
-// the parallel harness) stop paying per-thread warm-up allocations.
+// line buffers, the prediction-classification slots, the exact-similarity
+// profiler's sets and scratch filters, and the access buffer lent to the
+// thread's program. It lives in the runner shell's thread slab, so
+// repeated simulations in one process (parameter sweeps, the harness's
+// cells) stop paying per-thread warm-up allocations.
 type ctxScratch struct {
 	linesBuf  []uint64 // distinct read/write-set lines of the committing tx
 	writesBuf []uint64 // written subset
@@ -358,6 +418,8 @@ type ctxScratch struct {
 	setFree []*bloom.ExactSet // recycled sets displaced from prevSet
 	estFA   *bloom.Filter     // scratch filters for Eq. 3 error profiling
 	estFB   *bloom.Filter
+
+	acc []workload.Access // the program's access buffer, while not lent out
 }
 
 // pendingSer is one unsettled serialize decision: its record token and
@@ -367,22 +429,9 @@ type pendingSer struct {
 	wtx *tm.Tx
 }
 
-var scratchPool = sync.Pool{New: func() any { return &ctxScratch{} }}
-
-// getScratch takes a scratch from the pool, lazily building the profiling
-// maps when exact-similarity profiling is on.
-func getScratch(profile bool) *ctxScratch {
-	s := scratchPool.Get().(*ctxScratch)
-	if profile && s.prevSet == nil {
-		s.prevSet = make(map[int]*bloom.ExactSet)
-		s.sizeSum = make(map[int]float64)
-		s.sizeCnt = make(map[int]int64)
-	}
-	return s
-}
-
-// release empties the scratch (keeping capacity) and returns it to the pool.
-func (s *ctxScratch) release() {
+// reset empties the scratch, keeping capacity, and builds the profiling
+// maps if exact-similarity profiling is on and they do not exist yet.
+func (s *ctxScratch) reset(profile bool) {
 	s.linesBuf = s.linesBuf[:0]
 	s.writesBuf = s.writesBuf[:0]
 	for i := range s.predWaits {
@@ -405,7 +454,11 @@ func (s *ctxScratch) release() {
 	}
 	clear(s.sizeSum)
 	clear(s.sizeCnt)
-	scratchPool.Put(s)
+	if profile && s.prevSet == nil {
+		s.prevSet = make(map[int]*bloom.ExactSet)
+		s.sizeSum = make(map[int]float64)
+		s.sizeCnt = make(map[int]int64)
+	}
 }
 
 func (s *ctxScratch) getExactSet() *bloom.ExactSet {
@@ -475,6 +528,7 @@ type laneState struct {
 type domainState struct {
 	sys *tm.System
 	mgr sched.Manager
+	rng *rand.Rand // the manager's Env.Rand, reseeded for every run
 
 	cpuSlot []int
 
@@ -537,7 +591,7 @@ type Runner struct {
 
 	lanes []*laneState
 	doms  []*domainState
-	ctxs  []*threadCtx
+	ctxs  []threadCtx
 
 	// active is the lane currently executing an event. Sequential and
 	// entangled drivers maintain it (exactly one event runs at a time);
@@ -547,12 +601,47 @@ type Runner struct {
 
 	noBatch bool // mirrors cfg.NoBatch
 
-	// Time-series sampler: one cached closure rescheduling itself.
+	// Time-series sampler: a registered handle rescheduling itself.
 	sampleEvery int64
-	sampleFn    func()
+	sampleH     Handle
+
+	// The managers' Env callbacks, bound once per shell.
+	cpuOfFn func(tid int) int
+	wakeFn  func(tid int)
 }
 
-// NewRunner wires up a simulation. Call Run to execute it.
+// shellPool holds runner shells between simulations: everything a Runner
+// builds for a cell — lanes with their engines and machines, domains with
+// their TM systems and manager RNGs, the thread slab with its scratch and
+// the programs' access buffers — is reset in place by the next NewRunner
+// instead of being rebuilt. A shell goes back at the end of Run, after the
+// Result has copied everything it keeps: a Result never aliases a shell.
+var shellPool sync.Pool // of *Runner
+
+// newShell builds an empty shell and binds its hooks.
+func newShell() *Runner {
+	r := &Runner{}
+	r.cpuOfFn = func(tid int) int { return tid % r.cfg.Cores }
+	r.wakeFn = func(tid int) {
+		c := &r.ctxs[tid]
+		c.lane.mac.ThreadWake(c.th)
+	}
+	return r
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// NewRunner wires up a simulation in a recycled shell. Call Run, once, to
+// execute it: Run hands the shell back for the next NewRunner.
 func NewRunner(cfg RunConfig) *Runner {
 	if cfg.NonTxChunk == 0 {
 		cfg.NonTxChunk = 20000
@@ -572,10 +661,12 @@ func NewRunner(cfg RunConfig) *Runner {
 	nThreads := cfg.Cores * cfg.ThreadsPerCore
 	nStatic := cfg.Workload.NumStatic()
 
-	r := &Runner{
-		cfg:     cfg,
-		noBatch: cfg.NoBatch,
+	r, _ := shellPool.Get().(*Runner)
+	if r == nil {
+		r = newShell()
 	}
+	r.cfg, r.noBatch = cfg, cfg.NoBatch
+	r.clock, r.seqSrc, r.active = 0, 0, nil
 	r.mode = r.chooseMode()
 
 	// Lanes: per-shard engines and machines over contiguous core ranges.
@@ -586,21 +677,21 @@ func NewRunner(cfg RunConfig) *Runner {
 	if r.mode != modeSeq {
 		nLanes = cfg.Shards
 	}
-	for i := 0; i < nLanes; i++ {
+	r.lanes = recycle(r.lanes, nLanes)
+	for i, ln := range r.lanes {
 		lo := i * cfg.Cores / nLanes
 		hi := (i + 1) * cfg.Cores / nLanes
-		var eng *Engine
-		if r.mode == modeEntangled {
-			eng = NewLaneEngine(&r.clock, &r.seqSrc)
-		} else {
-			eng = NewEngine()
+		eng, mac := ln.eng, ln.mac
+		if eng == nil {
+			eng, mac = &Engine{dispatch: r.step}, &Machine{OnDispatch: r.dispatched}
 		}
-		r.lanes = append(r.lanes, &laneState{
-			idx:      i,
-			coreBase: lo,
-			eng:      eng,
-			mac:      NewMachine(eng, hi-lo, cfg.OSCosts),
-		})
+		if r.mode == modeEntangled {
+			eng.reset(&r.clock, &r.seqSrc)
+		} else {
+			eng.reset(nil, nil)
+		}
+		mac.reset(eng, hi-lo, cfg.OSCosts)
+		*ln = laneState{idx: i, coreBase: lo, eng: eng, mac: mac}
 	}
 
 	// Domains: one shared domain unless partitioned.
@@ -608,14 +699,24 @@ func NewRunner(cfg RunConfig) *Runner {
 	if r.mode == modePartitioned {
 		nDoms = nLanes
 	}
-	for i := 0; i < nDoms; i++ {
-		dom := &domainState{
-			sys:           tm.NewSystem(nStatic),
-			cpuSlot:       make([]int, cfg.Cores),
-			simSum:        make([]float64, nStatic),
-			simCnt:        make([]int64, nStatic),
-			commitsPerStx: make([]int64, nStatic),
-			latency:       make([]stats.Histogram, nStatic),
+	r.doms = recycle(r.doms, nDoms)
+	for _, dom := range r.doms {
+		if dom.sys == nil {
+			dom.sys = tm.NewSystem(nStatic)
+			dom.sys.OnDoom = r.onRemoteDoom
+			dom.rng = rand.New(rand.NewSource(0))
+		} else {
+			dom.sys.Reset(nStatic)
+		}
+		dom.rng.Seed(int64(cfg.Seed) ^ 0x5bf0f7c9)
+		*dom = domainState{
+			sys:           dom.sys,
+			rng:           dom.rng,
+			cpuSlot:       resize(dom.cpuSlot, cfg.Cores),
+			simSum:        resize(dom.simSum, nStatic),
+			simCnt:        resize(dom.simCnt, nStatic),
+			commitsPerStx: resize(dom.commitsPerStx, nStatic),
+			latency:       resize(dom.latency, nStatic),
 		}
 		for j := range dom.cpuSlot {
 			dom.cpuSlot[j] = core.NoTx
@@ -630,23 +731,17 @@ func NewRunner(cfg RunConfig) *Runner {
 				dom.reg = metrics.New()
 			}
 		}
-		env := sched.Env{
+		dom.mgr = cfg.NewManager(sched.Env{
 			NumCPUs:    cfg.Cores,
 			NumThreads: nThreads,
 			NumStatic:  nStatic,
-			CPUOf:      func(tid int) int { return tid % cfg.Cores },
-			Wake: func(tid int) {
-				c := r.ctxs[tid]
-				c.lane.mac.ThreadWake(c.th)
-			},
-			Rand:       rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x5bf0f7c9)),
+			CPUOf:      r.cpuOfFn,
+			Wake:       r.wakeFn,
+			Rand:       dom.rng,
 			Metrics:    dom.reg,
 			LinearScan: cfg.NoBloofi,
-		}
-		dom.mgr = cfg.NewManager(env)
+		})
 		dom.bindInstruments()
-		dom.sys.OnDoom = r.onRemoteDoom
-		r.doms = append(r.doms, dom)
 	}
 	for _, ln := range r.lanes {
 		ln.dom = r.doms[0]
@@ -655,38 +750,71 @@ func NewRunner(cfg RunConfig) *Runner {
 		}
 	}
 
+	// Threads: the slab grows only when a run has more threads than any
+	// before it, and keeps the clean scratch of the threads it had.
+	if cap(r.ctxs) < nThreads {
+		grown := make([]threadCtx, nThreads)
+		copy(grown, r.ctxs[:cap(r.ctxs)])
+		r.ctxs = grown
+	}
+	r.ctxs = r.ctxs[:nThreads]
 	base := workload.NewRNG(cfg.Seed)
-	for tid := 0; tid < nThreads; tid++ {
+	for tid := range r.ctxs {
 		absCore := tid % cfg.Cores
 		lane := r.laneOfCore(absCore)
 		th := lane.mac.AddThread(absCore - lane.coreBase)
 		th.ID = tid // global thread id (machine-local by default)
-		ctx := &threadCtx{
-			tid:         tid,
-			th:          th,
-			lane:        lane,
-			dom:         lane.dom,
-			prog:        cfg.Workload.NewProgram(tid, nThreads, base.Derive(uint64(tid)).Uint64()),
-			waitDTx:     core.NoTx,
-			ctxScratch:  getScratch(cfg.ProfileSimilarity),
-			decBeginTok: -1,
-			decSerTok:   -1,
-			decStallTok: -1,
+		ctx := &r.ctxs[tid]
+		scratch := ctx.ctxScratch
+		scratch.reset(cfg.ProfileSimilarity)
+		clear(ctx.stallWaiters)
+		clear(ctx.beginWaiters)
+		*ctx = threadCtx{
+			tid:          tid,
+			th:           th,
+			lane:         lane,
+			dom:          lane.dom,
+			prog:         cfg.Workload.NewProgram(tid, nThreads, base.Derive(uint64(tid)).Uint64()),
+			waitDTx:      core.NoTx,
+			decBeginTok:  -1,
+			decSerTok:    -1,
+			decStallTok:  -1,
+			stallWaiters: ctx.stallWaiters[:0],
+			beginWaiters: ctx.beginWaiters[:0],
+			ctxScratch:   scratch,
+		}
+		if bp, ok := ctx.prog.(accessBuffered); ok {
+			bp.SwapAccesses(ctx.acc)
 		}
 		if cfg.Decisions != nil && tid < cfg.Decisions.Threads() {
 			ctx.dec = cfg.Decisions.Shard(tid)
 		}
-		r.bindContinuations(ctx)
-		ctx.resume = ctx.contFetchNext
-		r.ctxs = append(r.ctxs, ctx)
-	}
-	for _, ln := range r.lanes {
-		ln.mac.OnDispatch = r.dispatched
 	}
 	if r.mode == modePartitioned {
 		r.setupShards()
 	}
 	return r
+}
+
+// accessBuffered is a program that fabricates every transaction in one
+// access buffer and can be lent one: SwapAccesses installs buf and returns
+// the buffer it held. The shell lends its buffer before the first Next and
+// takes it back, grown, once the run no longer uses the program.
+type accessBuffered interface {
+	SwapAccesses(buf []workload.Access) []workload.Access
+}
+
+// release hands the shell back for the next NewRunner, taking back the
+// access buffers lent to the programs. The Result must already hold copies
+// of everything it keeps.
+func (r *Runner) release() {
+	for i := range r.ctxs {
+		ctx := &r.ctxs[i]
+		if bp, ok := ctx.prog.(accessBuffered); ok {
+			ctx.acc = bp.SwapAccesses(nil)
+		}
+	}
+	shellPool.Put(r)
 }
 
 // chooseMode picks the execution mode for the configured shard count:
@@ -716,58 +844,6 @@ func (r *Runner) laneOfCore(cpu int) *laneState {
 	return r.lanes[len(r.lanes)-1]
 }
 
-// bindContinuations builds the thread's reusable continuations once and
-// registers the engine-scheduled ones as handles, so steady-state event
-// scheduling allocates no closures and pushes no pointers into the event
-// heap. Variant data rides in ctx fields (beginRes, spinTarget/spinGrace,
-// batchHolder) or in the event itself (the AfterArg generation
-// snapshots).
-func (r *Runner) bindContinuations(ctx *threadCtx) {
-	ctx.contFetchNext = func() { r.fetchNext(ctx) }
-	ctx.contNonTx = func() { r.runNonTx(ctx) }
-	ctx.contTryBegin = func() { r.tryBegin(ctx) }
-	ctx.contStepAccess = func() { r.stepAccess(ctx) }
-
-	eng := ctx.lane.eng
-	ctx.hNonTxStep = eng.Register(func() {
-		ctx.resume = ctx.contNonTx
-		if r.maybePreempt(ctx) {
-			return
-		}
-		r.runNonTx(ctx)
-	})
-	ctx.hTryBegin = eng.Register(ctx.contTryBegin)
-	ctx.hBeginAct = eng.Register(func() { r.actOnBegin(ctx) })
-	ctx.hBeginSpin = eng.Register(func() { r.beginSpin(ctx, ctx.spinTarget, ctx.spinGrace) })
-	ctx.hStepAccess = eng.Register(ctx.contStepAccess)
-	ctx.hAccess = eng.Register(func() { r.performAccess(ctx) })
-	ctx.hPostAccess = eng.Register(func() { r.postAccess(ctx) })
-	ctx.hBatchStall = eng.Register(func() {
-		holder := ctx.batchHolder
-		ctx.batchHolder = nil
-		r.lineStall(ctx, holder)
-	})
-	ctx.hCommit = eng.Register(func() { r.finishCommit(ctx) })
-	ctx.hPostCommit = eng.Register(func() {
-		ctx.resume = ctx.contFetchNext
-		if r.maybePreempt(ctx) {
-			return
-		}
-		r.fetchNext(ctx)
-	})
-	ctx.hRollback = eng.Register(func() { r.finishAbort(ctx) })
-	ctx.hPostAbort = eng.Register(func() {
-		ctx.resume = ctx.contTryBegin
-		if r.maybePreempt(ctx) {
-			return
-		}
-		r.tryBegin(ctx)
-	})
-	ctx.hAbort = eng.Register(func() { r.abortTx(ctx) })
-	ctx.hSpinCheck = eng.RegisterArg(func(gen uint64) { r.beginSpinCheck(ctx, gen) })
-	ctx.hStallTimeout = eng.RegisterArg(func(gen uint64) { r.stallTimeout(ctx, gen) })
-}
-
 // emit records a trace event if tracing is enabled. other is the
 // counterparty's dTxID and otherStx its static ID (-1/-1 when none).
 func (r *Runner) emit(ctx *threadCtx, kind trace.Kind, other, otherStx int, extra int64) {
@@ -792,7 +868,7 @@ func (r *Runner) dtxOf(ctx *threadCtx) int {
 
 // ownerOfDTx is the thread a packed dTxID belongs to.
 func (r *Runner) ownerOfDTx(dtx int) *threadCtx {
-	return r.ctxs[dtx/r.cfg.Workload.NumStatic()]
+	return &r.ctxs[dtx/r.cfg.Workload.NumStatic()]
 }
 
 // stxOfDTx decodes the static transaction ID from a packed dTxID (-1 in,
@@ -924,13 +1000,13 @@ func (r *Runner) setSlot(dom *domainState, cpu, dtx int) {
 
 // dispatched is the machine's OnDispatch hook.
 func (r *Runner) dispatched(th *Thread) {
-	ctx := r.ctxs[th.ID]
+	ctx := &r.ctxs[th.ID]
 	if ctx.tx != nil && !ctx.tx.Doomed {
 		// A transactional thread regained its core: its transaction is
 		// visible on the CPU table again.
 		r.setSlot(ctx.dom, r.cpuOf(ctx), ctx.tx.DTx)
 	}
-	ctx.resume()
+	r.step(int32(th.ID), ctx.resume, 0)
 }
 
 // maybePreempt requeues the thread if its quantum expired and someone else
@@ -992,7 +1068,7 @@ func (r *Runner) runNonTx(ctx *threadCtx) {
 		}
 		ctx.pendingPre -= chunk
 		ctx.th.Charge(CatNonTx, chunk)
-		eng.AfterHandle(chunk, ctx.hNonTxStep)
+		ctx.after(chunk, opNonTxStep, 0)
 		return
 	}
 	local := eng.Now()
@@ -1007,15 +1083,15 @@ func (r *Runner) runNonTx(ctx *threadCtx) {
 		if t >= r.horizon(ctx.lane) || ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
 			// Horizon or quantum boundary: re-enter the engine at this
 			// chunk's completion time and take the per-event path there
-			// (contNonTxStep redoes the preemption check at engine time
+			// (opNonTxStep redoes the preemption check at engine time
 			// t, exactly as the legacy step does).
-			eng.AtHandle(t, ctx.hNonTxStep)
+			ctx.at(t, opNonTxStep, 0)
 			return
 		}
 		if ctx.pendingPre <= 0 {
 			// All pre-transaction compute consumed below the horizon with
 			// no preemption due: begin the transaction at its exact time.
-			eng.AtHandle(t, ctx.hTryBegin)
+			ctx.at(t, opTryBegin, 0)
 			return
 		}
 		local = t
@@ -1067,7 +1143,7 @@ func (r *Runner) tryBegin(ctx *threadCtx) {
 		r.setSlot(dom, r.cpuOf(ctx), r.dtxOf(ctx))
 	}
 	ctx.beginRes = res
-	eng.AfterHandle(res.Overhead, ctx.hBeginAct)
+	ctx.after(res.Overhead, opBeginAct, 0)
 }
 
 // decChoiceOf maps a begin action to its decision-trace choice.
@@ -1144,10 +1220,10 @@ func (r *Runner) actOnBegin(ctx *threadCtx) {
 	case sched.YieldRetry:
 		r.emit(ctx, trace.KSuspend, res.WaitDTx, r.stxOfDTx(res.WaitDTx), 0)
 		r.recordPredWait(ctx, res.WaitDTx)
-		ctx.resume = ctx.contTryBegin
+		ctx.resume = opTryBegin
 		ctx.lane.mac.ThreadYield(ctx.th)
 	case sched.Block:
-		ctx.resume = ctx.contTryBegin
+		ctx.resume = opTryBegin
 		ctx.lane.mac.ThreadBlock(ctx.th)
 	}
 }
@@ -1164,13 +1240,11 @@ func (r *Runner) beginSpin(ctx *threadCtx, waitDTx, grace int) {
 		const recheck = 30
 		ctx.th.Charge(CatScheduling, recheck)
 		if grace > 0 {
-			ctx.spinTarget = waitDTx
-			ctx.spinGrace = grace - 1
-			eng.AfterHandle(recheck, ctx.hBeginSpin)
+			ctx.after(recheck, opBeginSpin, uint64(uint32(waitDTx))|uint64(grace-1)<<32)
 		} else {
 			// Stale announcement (the transaction ended or never started):
 			// re-execute TX_BEGIN.
-			eng.AfterHandle(recheck, ctx.hTryBegin)
+			ctx.after(recheck, opTryBegin, 0)
 		}
 		return
 	}
@@ -1185,7 +1259,7 @@ func (r *Runner) beginSpin(ctx *threadCtx, waitDTx, grace int) {
 
 // scheduleBeginSpinCheck arranges the next preemption check while spinning
 // at begin: the earliest instant ShouldPreempt could become true. The wait
-// generation rides in the event itself (AfterArg): a pending check can
+// generation rides in the event's arg: a pending check can
 // coexist with newer control flow for the same thread, so it must compare
 // against the generation at schedule time, not whatever the ctx holds when
 // it fires.
@@ -1195,7 +1269,7 @@ func (r *Runner) scheduleBeginSpinCheck(ctx *threadCtx, gen uint64) {
 	if wait < 1 {
 		wait = 1
 	}
-	eng.AfterArgHandle(wait, ctx.hSpinCheck, gen)
+	ctx.after(wait, opSpinCheck, gen)
 }
 
 // beginSpinCheck is the preemption check while spinning at begin.
@@ -1210,7 +1284,7 @@ func (r *Runner) beginSpinCheck(ctx *threadCtx, gen uint64) {
 		ctx.state = stIdle
 		ctx.waitGen++
 		r.dropBeginWaiter(ctx)
-		ctx.resume = ctx.contTryBegin
+		ctx.resume = opTryBegin
 		ctx.lane.mac.Preempt(ctx.th)
 		return
 	}
@@ -1263,7 +1337,7 @@ func (r *Runner) startTx(ctx *threadCtx) {
 	ctx.txCycles += r.cfg.TMCosts.Begin
 	r.emit(ctx, trace.KBegin, -1, -1, 0)
 	r.setSlot(ctx.dom, r.cpuOf(ctx), dtx)
-	ctx.lane.eng.AfterHandle(r.cfg.TMCosts.Begin, ctx.hStepAccess)
+	ctx.after(r.cfg.TMCosts.Begin, opStepAccess, 0)
 }
 
 // stepAccess executes the next transactional access (or commits). With
@@ -1289,7 +1363,7 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 		d := ctx.gap + r.cfg.TMCosts.Access
 		ctx.th.Charge(CatTx, d)
 		ctx.txCycles += d
-		eng.AfterHandle(d, ctx.hAccess)
+		ctx.after(d, opAccess, 0)
 		return
 	}
 	local := eng.Now()
@@ -1301,7 +1375,7 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 			c := r.cfg.TMCosts.Commit
 			ctx.th.Charge(CatTx, c)
 			ctx.txCycles += c
-			eng.AtHandle(local+c, ctx.hCommit)
+			ctx.at(local+c, opCommit, 0)
 			return
 		}
 		t := local + d
@@ -1316,7 +1390,7 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 			// the legacy path does.
 			ctx.th.Charge(CatTx, d)
 			ctx.txCycles += d
-			eng.AtHandle(t, ctx.hAccess)
+			ctx.at(t, opAccess, 0)
 			return
 		}
 		// The access completes strictly before any other actor can run:
@@ -1337,9 +1411,9 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 			}
 			if ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
 				// Quantum boundary: re-enter the engine at the access's
-				// completion time; postAccess performs the preemption
+				// completion time; opPostAccess performs the preemption
 				// there, as the legacy path would.
-				eng.AtHandle(t, ctx.hPostAccess)
+				ctx.at(t, opPostAccess, 0)
 				return
 			}
 			local = t
@@ -1348,10 +1422,10 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 			// pointer stays valid across the event because t is strictly
 			// below the horizon — no other actor runs in between.
 			ctx.batchHolder = res.Holder
-			eng.AtHandle(t, ctx.hBatchStall)
+			ctx.at(t, opBatchStall, 0)
 			return
 		default: // doomed by deadlock resolution
-			eng.AtHandle(t, ctx.hAbort)
+			ctx.at(t, opAbort, 0)
 			return
 		}
 	}
@@ -1373,22 +1447,12 @@ func (r *Runner) performAccess(ctx *threadCtx) {
 		if sh := ctx.lane.shard; sh != nil && acc.Addr >= sh.sharedBase {
 			sh.probeShared(ctx.lane.eng.Now(), ctx.tid, acc.Addr)
 		}
-		r.postAccess(ctx)
+		r.resumeWith(ctx, opStepAccess)
 	case res.Holder != nil:
 		r.lineStall(ctx, res.Holder)
 	default: // doomed by deadlock resolution
 		r.abortTx(ctx)
 	}
-}
-
-// postAccess is the step after a successful access: preempt if the
-// quantum expired, otherwise continue with the next access.
-func (r *Runner) postAccess(ctx *threadCtx) {
-	ctx.resume = ctx.contStepAccess
-	if r.maybePreempt(ctx) {
-		return
-	}
-	r.stepAccess(ctx)
 }
 
 // lineStall handles a NACK: spin on the line until the holder releases or
@@ -1416,7 +1480,7 @@ func (r *Runner) lineStall(ctx *threadCtx, holder *tm.Tx) {
 		})
 		ctx.decStallStart = eng.Now()
 	}
-	owner := r.ctxs[holder.Thread]
+	owner := &r.ctxs[holder.Thread]
 	owner.stallWaiters = append(owner.stallWaiters, ctx)
 	budget := r.cfg.TMCosts.StallTimeout
 	if sp, ok := ctx.dom.mgr.(sched.StallPolicy); ok {
@@ -1433,7 +1497,7 @@ func (r *Runner) lineStall(ctx *threadCtx, holder *tm.Tx) {
 			budget = 1
 		}
 	}
-	eng.AfterArgHandle(budget, ctx.hStallTimeout, gen)
+	ctx.after(budget, opStallTimeout, gen)
 }
 
 // stallTimeout fires when a NACKed spin exhausts its budget; the generation
@@ -1458,7 +1522,7 @@ func (r *Runner) stallTimeout(ctx *threadCtx, gen uint64) {
 }
 
 func (r *Runner) dropStallWaiter(ctx *threadCtx) {
-	owner := r.ctxs[ctx.holder.Thread]
+	owner := &r.ctxs[ctx.holder.Thread]
 	owner.stallWaiters = dropWaiter(owner.stallWaiters, ctx)
 }
 
@@ -1477,7 +1541,7 @@ func (r *Runner) decSettleStall(ctx *threadCtx, o decision.Outcome) {
 // lane's engine; entangled lanes share the clock, so the +1 lands at the
 // same absolute instant regardless of which lane the committer ran on.
 func (r *Runner) onTxReleased(tx *tm.Tx) {
-	owner := r.ctxs[tx.Thread]
+	owner := &r.ctxs[tx.Thread]
 	for i, ctx := range owner.stallWaiters {
 		owner.stallWaiters[i] = nil
 		if ctx.state != stLineStall || ctx.holder != tx {
@@ -1488,7 +1552,7 @@ func (r *Runner) onTxReleased(tx *tm.Tx) {
 		ctx.state = stIdle
 		ctx.waitGen++
 		ctx.holder = nil
-		ctx.lane.eng.AfterHandle(1, ctx.hStepAccess) // retry the same access
+		ctx.after(1, opStepAccess, 0) // retry the same access
 	}
 	owner.stallWaiters = owner.stallWaiters[:0]
 
@@ -1501,7 +1565,7 @@ func (r *Runner) onTxReleased(tx *tm.Tx) {
 		ctx.state = stIdle
 		ctx.waitGen++
 		ctx.waitDTx = core.NoTx
-		ctx.lane.eng.AfterHandle(1, ctx.hTryBegin)
+		ctx.after(1, opTryBegin, 0)
 	}
 	owner.beginWaiters = owner.beginWaiters[:0]
 }
@@ -1511,7 +1575,7 @@ func (r *Runner) onTxReleased(tx *tm.Tx) {
 // must wake immediately and roll back; otherwise the Doomed flag is picked
 // up at the next step boundary.
 func (r *Runner) onRemoteDoom(victim *tm.Tx) {
-	ctx := r.ctxs[victim.Thread]
+	ctx := &r.ctxs[victim.Thread]
 	if ctx.tx != victim || ctx.state != stLineStall {
 		return
 	}
@@ -1525,7 +1589,7 @@ func (r *Runner) onRemoteDoom(victim *tm.Tx) {
 	// be executing inside another thread's horizon batch, logically ahead
 	// of the engine. (Conflicts are domain-local, so in partitioned runs
 	// the doomer and the victim share a lane and nowFor resolves to it.)
-	ctx.lane.eng.AtHandle(r.nowFor(ctx)+1, ctx.hAbort)
+	ctx.at(r.nowFor(ctx)+1, opAbort, 0)
 }
 
 // commitTx finishes the transaction: hardware commit, manager bookkeeping,
@@ -1533,7 +1597,7 @@ func (r *Runner) onRemoteDoom(victim *tm.Tx) {
 func (r *Runner) commitTx(ctx *threadCtx) {
 	ctx.th.Charge(CatTx, r.cfg.TMCosts.Commit)
 	ctx.txCycles += r.cfg.TMCosts.Commit
-	ctx.lane.eng.AfterHandle(r.cfg.TMCosts.Commit, ctx.hCommit)
+	ctx.after(r.cfg.TMCosts.Commit, opCommit, 0)
 }
 
 // finishCommit runs once the hardware commit latency has elapsed. The
@@ -1568,7 +1632,7 @@ func (r *Runner) finishCommit(ctx *threadCtx) {
 	if overhead > 0 {
 		ctx.th.Charge(CatScheduling, overhead)
 	}
-	ctx.lane.eng.AfterHandle(overhead, ctx.hPostCommit)
+	ctx.after(overhead, opPostCommit, 0)
 }
 
 // profileCommit records exact Eq. 1 similarity for Table 1, reading the
@@ -1633,7 +1697,7 @@ func (r *Runner) abortTx(ctx *threadCtx) {
 	r.emit(ctx, trace.KAbort, tx.DoomedByTid*r.cfg.Workload.NumStatic()+tx.DoomedByStx, tx.DoomedByStx, 0)
 	rollback := r.cfg.TMCosts.RollbackBase + r.cfg.TMCosts.RollbackPerLine*int64(tx.NumWrites())
 	ctx.th.Charge(CatAbort, rollback)
-	ctx.lane.eng.AfterHandle(rollback, ctx.hRollback)
+	ctx.after(rollback, opRollback, 0)
 }
 
 // finishAbort runs once the undo-log walk has been charged: release
@@ -1650,7 +1714,7 @@ func (r *Runner) finishAbort(ctx *threadCtx) {
 	dom.mgr.OnTxEnded(ctx.tid, ctx.desc.STx, false)
 	ctx.th.Charge(CatScheduling, ab.Overhead)
 	ctx.th.Charge(CatAbort, ab.Backoff)
-	ctx.lane.eng.AfterHandle(ab.Overhead+ab.Backoff, ctx.hPostAbort)
+	ctx.after(ab.Overhead+ab.Backoff, opPostAbort, 0)
 }
 
 // liveThreads is the total live-thread count across lanes.
@@ -1662,8 +1726,8 @@ func (r *Runner) liveThreads() int {
 	return n
 }
 
-// sample records one time-series point and reschedules itself via the
-// cached r.sampleFn closure. Sampling only reads manager and TM state, so
+// sample records one time-series point and reschedules itself through its
+// registered handle. Sampling only reads manager and TM state, so
 // it cannot perturb the simulated schedule: a run with metrics enabled
 // takes the same cycle-level path as one without. The sampler only runs
 // in single-domain modes (it reads global manager/TM state), on lane 0's
@@ -1689,7 +1753,7 @@ func (r *Runner) sample() {
 		dom.abortEwma = alpha*float64(da)/float64(dc+da) + (1-alpha)*dom.abortEwma
 	}
 	dom.tsAbortRate.Append(now, dom.abortEwma)
-	ln.eng.After(r.sampleEvery, r.sampleFn)
+	ln.eng.AfterHandle(r.sampleEvery, r.sampleH)
 }
 
 // Run executes the simulation to completion and returns its measurements.
@@ -1700,8 +1764,8 @@ func (r *Runner) Run() *Result {
 			interval = DefaultSampleInterval
 		}
 		r.sampleEvery = interval
-		r.sampleFn = func() { r.sample() }
-		r.lanes[0].eng.After(interval, r.sampleFn)
+		r.sampleH = r.lanes[0].eng.Register(r.sample)
+		r.lanes[0].eng.AfterHandle(interval, r.sampleH)
 	}
 	switch r.mode {
 	case modeSeq:
@@ -1755,41 +1819,40 @@ func (r *Runner) buildResult() *Result {
 	if !timedOut && r.liveThreads() > 0 {
 		res.Deadlocked = r.parked()
 	}
-	if len(r.doms) == 1 {
-		dom := r.doms[0]
-		res.Commits = dom.sys.Commits()
-		res.Aborts = dom.sys.Aborts()
-		res.ConflictMatrix = dom.sys.ConflictMatrix()
-		res.CommitsPerStx = dom.commitsPerStx
-		res.Latency = dom.latency
-		res.AttemptsPerCommit = dom.attempts
-	} else {
-		nStatic := r.cfg.Workload.NumStatic()
-		res.ConflictMatrix = make([][]int64, nStatic)
-		for i := range res.ConflictMatrix {
-			res.ConflictMatrix[i] = make([]int64, nStatic)
+	// The domains' accumulators are summed into fresh storage even when
+	// there is one domain: they belong to the shell, which the next
+	// NewRunner resets, so the Result must not alias them.
+	nStatic := r.cfg.Workload.NumStatic()
+	res.ConflictMatrix = make([][]int64, nStatic)
+	for i := range res.ConflictMatrix {
+		res.ConflictMatrix[i] = make([]int64, nStatic)
+	}
+	res.CommitsPerStx = make([]int64, nStatic)
+	res.Latency = make([]stats.Histogram, nStatic)
+	for _, dom := range r.doms {
+		res.Commits += dom.sys.Commits()
+		res.Aborts += dom.sys.Aborts()
+		for i, row := range dom.sys.ConflictMatrix() {
+			for j, v := range row {
+				res.ConflictMatrix[i][j] += v
+			}
 		}
-		res.CommitsPerStx = make([]int64, nStatic)
-		res.Latency = make([]stats.Histogram, nStatic)
+		for i, v := range dom.commitsPerStx {
+			res.CommitsPerStx[i] += v
+		}
+		for i := range dom.latency {
+			res.Latency[i].Merge(&dom.latency[i])
+		}
+	}
+	if len(r.doms) == 1 {
+		res.AttemptsPerCommit = r.doms[0].attempts
+	} else {
 		for _, dom := range r.doms {
-			res.Commits += dom.sys.Commits()
-			res.Aborts += dom.sys.Aborts()
-			for i, row := range dom.sys.ConflictMatrix() {
-				for j, v := range row {
-					res.ConflictMatrix[i][j] += v
-				}
-			}
-			for i, v := range dom.commitsPerStx {
-				res.CommitsPerStx[i] += v
-			}
-			for i := range dom.latency {
-				res.Latency[i].Merge(&dom.latency[i])
-			}
 			res.AttemptsPerCommit.Merge(&dom.attempts)
 		}
 	}
-	for _, ctx := range r.ctxs {
-		res.Breakdown.Merge(&ctx.th.Acct)
+	for i := range r.ctxs {
+		res.Breakdown.Merge(&r.ctxs[i].th.Acct)
 	}
 	for _, ln := range r.lanes {
 		res.Breakdown.Add(CatIdle, ln.mac.IdleCycles())
@@ -1817,25 +1880,15 @@ func (r *Runner) buildResult() *Result {
 		}
 		res.Metrics = r.cfg.Metrics.Snapshot()
 	}
-	// The run is over: hand each thread's scratch and each lane's event
-	// storage back to their pools so the next Runner (possibly on another
-	// goroutine) can reuse the buffers.
-	for _, ctx := range r.ctxs {
-		if ctx.ctxScratch != nil {
-			ctx.ctxScratch.release()
-			ctx.ctxScratch = nil
-		}
-	}
-	for _, ln := range r.lanes {
-		ln.eng.Release()
-	}
+	r.release()
 	return res
 }
 
 // parked describes every thread that has not exited, for Result.Deadlocked.
 func (r *Runner) parked() *Deadlock {
 	d := &Deadlock{}
-	for _, ctx := range r.ctxs {
+	for i := range r.ctxs {
+		ctx := &r.ctxs[i]
 		var wait string
 		switch ctx.th.State {
 		case ThDone:

@@ -7,7 +7,7 @@ package sim
 //
 //   - Entangled lanes. Every lane gets its own event heap and machine
 //     slice, but all heaps share one clock and one sequence counter
-//     (Engine.NewLaneEngine), and a single driver goroutine repeatedly
+//     (Engine.reset), and a single driver goroutine repeatedly
 //     executes the globally minimal (time, seq) event across the heaps
 //     (Engine.PeekKey). Because (time, seq) is a total order and seq values
 //     are stamped from the shared counter in push order, the pop sequence

@@ -398,7 +398,7 @@ func TestShardHotPathAllocFree(t *testing.T) {
 	}
 
 	eng := NewEngine()
-	eng.At(1<<40, func() {})
+	at(eng, 1<<40, func() {})
 	if a := testing.AllocsPerRun(1000, func() {
 		_, _, _ = eng.PeekKey()
 	}); a != 0 {

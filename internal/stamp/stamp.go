@@ -41,10 +41,24 @@ type program struct {
 	b     builder
 }
 
+// newProgram starts with no access buffer. The largest footprints differ
+// by kernel — four accesses in Ssca2, 16 in Vacation, 25 in Delaunay, 96 in
+// Labyrinth — so one fixed first capacity is too small for some kernels
+// and wasted on the rest. The buffer grows to the kernel's largest
+// footprint in the first transactions, and a runner that recycles buffers
+// lends one already grown (SwapAccesses).
 func newProgram(gen genFunc, tid int, seed uint64, count int) *program {
-	p := &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
-	p.b.desc.Accesses = make([]workload.Access, 0, 16) // all but Labyrinth's routes fit
-	return p
+	return &program{gen: gen, tid: tid, rng: workload.NewRNG(seed), count: count}
+}
+
+// SwapAccesses installs buf (its length ignored, its capacity kept) as the
+// access buffer and returns the one the program held. A simulator that
+// keeps buffers from run to run lends one this way before the first Next
+// and takes it back after the last.
+func (p *program) SwapAccesses(buf []workload.Access) []workload.Access {
+	old := p.b.desc.Accesses
+	p.b.desc.Accesses = buf[:0]
+	return old
 }
 
 //bfgts:allocfree

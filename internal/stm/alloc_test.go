@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +11,23 @@ import (
 // half is bfgtsvet's allocfree analyzer over the annotated hot paths).
 // All the gates warm the pooled per-worker state first: the pools are
 // explicitly allowed to allocate while growing to steady state.
+
+// allocsDuring calls fn once to warm it, then runs times more, and returns
+// the exact number of heap allocations those runs made: the total that
+// testing.AllocsPerRun divides by runs and rounds down, so a gate on it
+// sees one allocation in a hundred runs. Like AllocsPerRun it measures on
+// one processor.
+func allocsDuring(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestReadOnlyPathAllocFree pins the conflict-free read path at zero
 // allocations per transaction: pooled Tx, entry-slice read set, no maps.
@@ -35,8 +53,8 @@ func TestReadOnlyPathAllocFree(t *testing.T) {
 		}
 	}
 	run() // warm pooled capacities
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("read-only transaction allocates %.1f objects/op, want 0", allocs)
+	if allocs := allocsDuring(200, run); allocs != 0 {
+		t.Fatalf("200 read-only transactions allocated %d objects, want 0", allocs)
 	}
 }
 
@@ -132,8 +150,8 @@ func TestCommitPathAllocs(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		run()
 	}
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("commit of %d writes allocates %.1f objects/op, want 0", len(ints)+len(wides), allocs)
+	if allocs := allocsDuring(100, run); allocs != 0 {
+		t.Fatalf("100 commits of %d writes allocated %d objects, want 0", len(ints)+len(wides), allocs)
 	}
 	if got := ints[0].Peek(); got != 1000+257*131 {
 		t.Fatalf("ints[0] = %d after 131 commits, want %d", got, 1000+257*131)
@@ -167,8 +185,8 @@ func TestPredictPathAllocFree(t *testing.T) {
 			}
 		}
 		run() // warm
-		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-			t.Fatalf("predict cycle allocates %.1f objects/op, want 0", allocs)
+		if allocs := allocsDuring(200, run); allocs != 0 {
+			t.Fatalf("200 predict cycles allocated %d objects, want 0", allocs)
 		}
 	})
 }

@@ -148,15 +148,36 @@ type System struct {
 // NewSystem creates a TM system for a program with nStatic static
 // transactions.
 func NewSystem(nStatic int) *System {
-	c := make([][]int64, nStatic)
-	for i := range c {
-		c[i] = make([]int64, nStatic)
+	s := &System{
+		lines:  make(map[uint64]*line),
+		active: make(map[int]*Tx),
 	}
-	return &System{
-		nStatic:   nStatic,
-		lines:     make(map[uint64]*line),
-		active:    make(map[int]*Tx),
-		conflicts: c,
+	s.Reset(nStatic)
+	return s
+}
+
+// Reset empties the system for a new program of nStatic static
+// transactions, as if it were new: the maps are cleared in place, the
+// counters and conflict matrix are zeroed, and the free lists are kept, so
+// a recycled system starts with every transaction and directory entry its
+// last program finished with. (A program that ran to completion leaves no
+// open transaction or directory entry; those of one cut short are dropped.)
+// OnDoom is kept. Pointers to the old program's transactions are invalid
+// afterwards.
+func (s *System) Reset(nStatic int) {
+	clear(s.lines)
+	clear(s.active)
+	s.nStatic, s.seq, s.commits, s.aborts = nStatic, 0, 0, 0
+	if cap(s.conflicts) < nStatic {
+		s.conflicts = make([][]int64, nStatic)
+	}
+	s.conflicts = s.conflicts[:nStatic]
+	for i, row := range s.conflicts {
+		if cap(row) < nStatic {
+			row = make([]int64, nStatic)
+		}
+		s.conflicts[i] = row[:nStatic]
+		clear(s.conflicts[i])
 	}
 }
 
@@ -223,7 +244,8 @@ func (s *System) Commits() int64 { return s.commits }
 func (s *System) Aborts() int64 { return s.aborts }
 
 // ConflictMatrix returns conflict counts between static transaction IDs,
-// the raw data behind the paper's Table 1.
+// the raw data behind the paper's Table 1. The matrix is the system's own
+// storage: Reset zeroes it.
 func (s *System) ConflictMatrix() [][]int64 { return s.conflicts }
 
 // LineWriteHeld reports whether some active transaction holds addr's cache

@@ -122,6 +122,15 @@ type wideProgram struct {
 	acc  []Access
 }
 
+// SwapAccesses installs buf (its length ignored, its capacity kept) as the
+// access buffer and returns the one the program held, like the STAMP
+// kernels' programs.
+func (p *wideProgram) SwapAccesses(buf []Access) []Access {
+	old := p.acc
+	p.acc = buf[:0]
+	return old
+}
+
 // Next implements Program; the descriptor and access slice are reused
 // between transactions, as the Program contract allows.
 func (p *wideProgram) Next() (int64, *TxDesc, bool) {

@@ -31,6 +31,12 @@ go vet -vettool="$workdir/bfgtsvet" ./...
 go test -race -short -count=1 -timeout 300s \
 	-run 'TestEntangledShardedMatchesSequential|TestPartitionedWideMatchesSequential|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
 	./internal/sim/
+# Recycled runner shells: every manager on every kernel and the wide
+# machine, in two cell orders on a four-worker session and fresh, must
+# agree, and no Result may change when a later cell reuses its shell.
+go test -race -short -count=1 -timeout 300s -cpu 1,2,4 \
+	-run 'TestRecycledCellsMatchFresh' \
+	./internal/harness/
 go test -race -short -count=1 -timeout 300s \
 	-run 'TestAtomicTreeMatchesTree|TestAtomicTreeRepairNoStaleBits|TestAtomicTreeConcurrentStress' \
 	./internal/bloofi/
