@@ -196,6 +196,21 @@ func (t *Tree) Set(slot int, key uint64) {
 	t.Insert(slot, key)
 }
 
+// Reset empties the directory in place, returning every node to the pool,
+// so a Tree of unchanged capacity serves a new run without rebuilding its
+// arena. Probes over the Tree stay valid.
+//
+//bfgts:allocfree
+func (t *Tree) Reset() {
+	for l, level := range t.levels {
+		for pos, ni := range level {
+			if ni >= 0 {
+				t.release(l, pos)
+			}
+		}
+	}
+}
+
 // OccupiedBefore returns how many occupied slots have an index strictly
 // below slot — an O(depth·branch) prefix count off the subtree counters,
 // used to price what a linear scan would have walked.

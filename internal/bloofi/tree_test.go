@@ -209,15 +209,16 @@ func TestTreeRemoveRepairsAggregates(t *testing.T) {
 }
 
 // TestTreePooledNodesNeverAlias cycles the directory through full and
-// empty states: released nodes must come back reset (no bits, key or
-// count leaking into their next incarnation), no arena node may back two
-// positions at once, and after a full drain the pool holds every node.
+// empty states, emptied slot by slot or all at once by Reset: released
+// nodes must come back reset (no bits, key or count leaking into their
+// next incarnation), no arena node may back two positions at once, and
+// after a full drain the pool holds every node.
 func TestTreePooledNodesNeverAlias(t *testing.T) {
 	cfg := Config{Capacity: 30, Branch: 3}
 	tr := New(cfg)
 	probe := NewProbe(tr)
 	occ := oracle{}
-	for run := 0; run < 3; run++ {
+	for run := 0; run < 4; run++ {
 		// Fill every slot with run-specific keys.
 		for slot := 0; slot < cfg.Capacity; slot++ {
 			key := uint64(run*cfg.Capacity + slot)
@@ -225,8 +226,16 @@ func TestTreePooledNodesNeverAlias(t *testing.T) {
 			occ[slot] = key
 		}
 		checkTreeInvariants(t, tr, occ)
+		if run%2 == 1 {
+			tr.Reset()
+			clear(occ)
+			checkTreeInvariants(t, tr, occ)
+		}
 		// Drain in a scrambled order so repairs hit every shape.
 		for _, slot := range rand.New(rand.NewSource(int64(run))).Perm(cfg.Capacity) {
+			if !tr.Occupied(slot) {
+				continue
+			}
 			tr.Remove(slot)
 			delete(occ, slot)
 			checkTreeInvariants(t, tr, occ)
@@ -247,8 +256,8 @@ func TestTreePooledNodesNeverAlias(t *testing.T) {
 }
 
 // TestBloofiTreeAllocFree gates the //bfgts:allocfree annotations at
-// runtime: a full insert/probe/remove cycle over a warmed-up directory
-// performs zero heap allocations.
+// runtime: a full insert/probe/remove/reset cycle over a warmed-up
+// directory performs zero heap allocations.
 func TestBloofiTreeAllocFree(t *testing.T) {
 	tr := New(Config{Capacity: 64})
 	probe := NewProbe(tr)
@@ -270,6 +279,8 @@ func TestBloofiTreeAllocFree(t *testing.T) {
 		for slot := 0; slot < 64; slot++ {
 			tr.Remove(slot)
 		}
+		tr.Insert(5, 1)
+		tr.Reset()
 	}
 	cycle() // warm up
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {

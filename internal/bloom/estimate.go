@@ -42,21 +42,6 @@ func (f *Filter) cardinality(t int) float64 {
 	return math.Log1p(-float64(t)/float64(f.m)) / f.den
 }
 
-// cardinalityFromPopCount is Equation 2 as a pure function of (t, m, k),
-// for callers without a filter in hand. Filter methods use the precomputed
-// denominator instead of paying the Log1p on every call.
-func cardinalityFromPopCount(t, m, k int) float64 {
-	if t <= 0 {
-		return 0
-	}
-	if t >= m {
-		return float64(m)
-	}
-	num := math.Log1p(-float64(t) / float64(m))
-	den := float64(k) * math.Log1p(-1/float64(m))
-	return num / den
-}
-
 // EstimateIntersection implements Equation 3: the estimated cardinality of
 // the intersection of the sets encoded by f and other. The union popcount
 // is streamed word-by-word, so no filter is materialized.
@@ -86,20 +71,13 @@ func (f *Filter) SimilarityOps() (popcnts, logs int) {
 	return 3 * len(f.words), 3
 }
 
-// EstimateIntersectionError inserts the two exact sets into fresh Bloom
-// filters of the given geometry and returns the Eq. 3 estimator's signed
-// error against the true intersection cardinality (estimate − exact). The
-// simulator's profiler records this per commit pair, making the
-// estimated-vs-exact accuracy the paper's Figure 6 relies on a measurable
-// quantity rather than an assumption.
-func EstimateIntersectionError(a, b *ExactSet, mBits, k int) float64 {
-	return EstimateIntersectionErrorInto(a, b, NewFilter(mBits, k), NewFilter(mBits, k))
-}
-
-// EstimateIntersectionErrorInto is EstimateIntersectionError with
-// caller-provided scratch filters (reset before use), so per-commit
-// profiling does not allocate two filters every call. Both filters must
-// share a geometry.
+// EstimateIntersectionErrorInto inserts the two exact sets into the
+// caller's scratch filters (reset first; both must share a geometry) and
+// returns the Eq. 3 estimator's signed error against the true intersection
+// cardinality (estimate − exact). The simulator's profiler records this
+// per commit pair, making the estimated-vs-exact accuracy the paper's
+// Figure 6 relies on a measurable quantity rather than an assumption; the
+// scratch filters keep that off the allocator.
 //
 //bfgts:allocfree
 func EstimateIntersectionErrorInto(a, b *ExactSet, fa, fb *Filter) float64 {

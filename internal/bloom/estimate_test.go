@@ -105,7 +105,7 @@ func TestSimilarityExtremes(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		f.Add(rng.Uint64())
 	}
-	self := f.Similarity(f.Clone(), 80)
+	self := f.Similarity(clone(f), 80)
 	if self < 0.8 {
 		t.Errorf("self-similarity = %.3f, want near 1", self)
 	}
@@ -140,10 +140,10 @@ func TestSimilarityClampedToUnitInterval(t *testing.T) {
 func TestSimilarityZeroAvgSize(t *testing.T) {
 	a := NewFilter(512, 4)
 	a.Add(1)
-	if got := a.Similarity(a.Clone(), 0); got != 0 {
+	if got := a.Similarity(clone(a), 0); got != 0 {
 		t.Fatalf("similarity with avg size 0 = %v, want 0", got)
 	}
-	if got := a.Similarity(a.Clone(), -3); got != 0 {
+	if got := a.Similarity(clone(a), -3); got != 0 {
 		t.Fatalf("similarity with negative avg size = %v, want 0", got)
 	}
 }
@@ -177,16 +177,6 @@ func TestExactSetSimilarityGroundTruth(t *testing.T) {
 	c.Add(100)
 	if a.IntersectsNonNull(c) {
 		t.Fatal("disjoint exact sets reported overlapping")
-	}
-}
-
-func TestExactSetSnapshotIndependent(t *testing.T) {
-	a := NewExactSet()
-	a.Add(1)
-	s := a.Snapshot().(*ExactSet)
-	a.Add(2)
-	if s.Len() != 1 {
-		t.Fatalf("snapshot length changed to %d after mutating original", s.Len())
 	}
 }
 

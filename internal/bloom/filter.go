@@ -32,17 +32,32 @@ const DefaultHashes = 4
 // NewFilter returns an empty filter of mBits bits using k hash functions.
 // mBits must be a power of two and at least 64; k must be at least 1.
 func NewFilter(mBits, k int) *Filter {
+	checkGeometry(mBits, k)
+	f := new(Filter)
+	f.init(make([]uint64, mBits/64), k)
+	return f
+}
+
+// checkGeometry panics unless mBits is a power of two of at least 64 and k
+// is at least 1.
+func checkGeometry(mBits, k int) {
 	if mBits < 64 || mBits&(mBits-1) != 0 {
 		panic(fmt.Sprintf("bloom: filter size %d is not a power of two >= 64", mBits))
 	}
 	if k < 1 {
 		panic("bloom: need at least one hash function")
 	}
-	return &Filter{
-		words: make([]uint64, mBits/64),
-		m:     uint64(mBits),
+}
+
+// init makes f an empty filter over words (which must be zero) with k
+// hash functions.
+func (f *Filter) init(words []uint64, k int) {
+	m := len(words) * 64
+	*f = Filter{
+		words: words,
+		m:     uint64(m),
 		k:     uint64(k),
-		den:   float64(k) * math.Log1p(-1/float64(mBits)),
+		den:   float64(k) * math.Log1p(-1/float64(m)),
 	}
 }
 
@@ -94,39 +109,6 @@ func (f *Filter) Reset() {
 	f.pop = 0
 }
 
-// Clone returns an independent copy.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{words: make([]uint64, len(f.words)), m: f.m, k: f.k, pop: f.pop, den: f.den}
-	copy(c.words, f.words)
-	return c
-}
-
-// CopyFrom overwrites this filter's bits with those of src. The two filters
-// must have identical geometry.
-func (f *Filter) CopyFrom(src *Filter) {
-	f.mustMatch(src)
-	copy(f.words, src.words)
-	f.pop = src.pop
-}
-
-// Union ORs other into a freshly allocated filter, leaving both inputs
-// untouched. Filters must have identical geometry.
-//
-// This allocates a full filter (m/8 bytes) per call. Hot paths that only
-// need the union's cardinality should use EstimateIntersection /
-// UnionPopCount, which stream OnesCount64(a|b) over the words without
-// materializing anything.
-func (f *Filter) Union(other *Filter) *Filter {
-	f.mustMatch(other)
-	u := &Filter{words: make([]uint64, len(f.words)), m: f.m, k: f.k, den: f.den}
-	for i, w := range other.words {
-		uw := f.words[i] | w
-		u.words[i] = uw
-		u.pop += bits.OnesCount64(uw)
-	}
-	return u
-}
-
 // UnionWith ORs other's bits into this filter in place, recomputing the
 // population count in the same pass — the Bloofi node-repair primitive,
 // allocation-free by construction. Filters must have identical geometry.
@@ -144,7 +126,9 @@ func (f *Filter) UnionWith(other *Filter) {
 }
 
 // UnionPopCount returns the number of set bits in the bitwise union of the
-// two filters without materializing it — one OnesCount64 per word.
+// two filters without materializing it — one OnesCount64 per word. Hot
+// paths that only need the union's cardinality (the Eq. 3 estimator) use
+// it instead of building a third filter.
 func (f *Filter) UnionPopCount(other *Filter) int {
 	f.mustMatch(other)
 	n := 0
@@ -152,22 +136,6 @@ func (f *Filter) UnionPopCount(other *Filter) int {
 		n += bits.OnesCount64(f.words[i] | w)
 	}
 	return n
-}
-
-// Intersect ANDs other into a freshly allocated filter. Note that a bitwise
-// AND of two Bloom filters over-approximates the true intersection; BFGTS
-// uses it only as the null test in commitTx (Example 4) and relies on the
-// estimator in estimate.go for cardinalities. Like Union, this allocates;
-// use intersectsFilter/IntersectsNonNull for an allocation-free null test.
-func (f *Filter) Intersect(other *Filter) *Filter {
-	f.mustMatch(other)
-	u := &Filter{words: make([]uint64, len(f.words)), m: f.m, k: f.k, den: f.den}
-	for i, w := range other.words {
-		uw := f.words[i] & w
-		u.words[i] = uw
-		u.pop += bits.OnesCount64(uw)
-	}
-	return u
 }
 
 // intersectsFilter reports whether the bitwise intersection with other has

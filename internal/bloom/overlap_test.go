@@ -61,8 +61,8 @@ func TestExactOverlapSignificantSingleElement(t *testing.T) {
 	if !a.OverlapSignificant(b) {
 		t.Fatal("one-element exact overlap not detected")
 	}
-	if got := a.EstimatedOverlap(b); got != 1 {
-		t.Fatalf("EstimatedOverlap = %v, want exactly 1", got)
+	if got := a.IntersectionLen(b); got != 1 {
+		t.Fatalf("IntersectionLen = %v, want exactly 1", got)
 	}
 }
 

@@ -17,18 +17,9 @@ type Signature interface {
 	Add(key uint64)
 	// Reset empties the signature for reuse.
 	Reset()
-	// Snapshot returns an independent copy with the same geometry.
-	Snapshot() Signature
 	// IntersectsNonNull reports whether this signature's intersection with
 	// other is non-empty (possibly over-approximate for Bloom filters).
 	IntersectsNonNull(other Signature) bool
-	// EstimatedOverlap returns the (estimated, for Bloom filters; exact,
-	// for exact sets) cardinality of the intersection with other. BFGTS
-	// commit validation treats an overlap under one element as a null
-	// intersection: the raw bitwise-AND test of two filters is almost
-	// never empty at realistic fill ratios, so the Eq. 3 estimator is what
-	// makes the paper's "if the intersection is not null" test meaningful.
-	EstimatedOverlap(other Signature) float64
 	// OverlapSignificant reports whether the intersection with other is
 	// distinguishable from estimator noise — the usable form of the
 	// paper's null-intersection test. For exact sets it is exact; for
@@ -43,17 +34,9 @@ type Signature interface {
 	SimilarityOps() (popcnts, logs int)
 }
 
-// Snapshot implements Signature for *Filter.
-func (f *Filter) Snapshot() Signature { return f.Clone() }
-
 // IntersectsNonNull implements Signature for *Filter.
 func (f *Filter) IntersectsNonNull(other Signature) bool {
 	return f.intersectsFilter(mustFilter(other))
-}
-
-// EstimatedOverlap implements Signature for *Filter via Equation 3.
-func (f *Filter) EstimatedOverlap(other Signature) float64 {
-	return f.EstimateIntersection(mustFilter(other))
 }
 
 // OverlapSignificant implements Signature for *Filter. The Eq. 3 estimate
@@ -131,15 +114,6 @@ func (s *ExactSet) Reset() { clear(s.keys) }
 // Len returns the exact set cardinality.
 func (s *ExactSet) Len() int { return len(s.keys) }
 
-// Snapshot implements Signature.
-func (s *ExactSet) Snapshot() Signature {
-	c := NewExactSet()
-	for k := range s.keys {
-		c.keys[k] = struct{}{}
-	}
-	return c
-}
-
 // IntersectsNonNull implements Signature.
 func (s *ExactSet) IntersectsNonNull(other Signature) bool {
 	o := mustExact(other)
@@ -153,11 +127,6 @@ func (s *ExactSet) IntersectsNonNull(other Signature) bool {
 		}
 	}
 	return false
-}
-
-// EstimatedOverlap implements Signature; for exact sets it is exact.
-func (s *ExactSet) EstimatedOverlap(other Signature) float64 {
-	return float64(s.IntersectionLen(mustExact(other)))
 }
 
 // OverlapSignificant implements Signature: exact sets have no noise, so

@@ -165,8 +165,8 @@ type CommitResult struct {
 // lines must list the distinct cache lines of the read/write set and writes
 // the written subset; size is the distinct line count. The slices are only
 // read during the call (the runner passes reusable scratch buffers), and
-// the displaced previous signatures are recycled, so the steady-state
-// commit path performs no allocation.
+// the displaced previous signatures become the spares the next commit
+// builds into, so the steady-state commit path performs no allocation.
 func (r *Runtime) CommitTx(dtx int, lines, writes []uint64, size int) CommitResult {
 	slot := r.dtxSlot(dtx)
 	st := &r.stats[slot]
@@ -189,11 +189,10 @@ func (r *Runtime) CommitTx(dtx int, lines, writes []uint64, size int) CommitResu
 
 	res := CommitResult{}
 	if runSim {
-		sig := r.getSignature()
+		sig, wsig := r.fresh(0), r.fresh(1)
 		for _, a := range lines {
 			sig.Add(a)
 		}
-		wsig := r.getSignature()
 		for _, a := range writes {
 			wsig.Add(a)
 		}
@@ -219,11 +218,9 @@ func (r *Runtime) CommitTx(dtx int, lines, writes []uint64, size int) CommitResu
 		}
 		// The displaced previous signatures have no remaining readers
 		// (validation below always consults the tables, never a stashed
-		// pointer) — recycle them.
-		r.putSignature(r.sigs[slot])
-		r.putSignature(r.wsigs[slot])
-		r.sigs[slot] = sig
-		r.wsigs[slot] = wsig
+		// pointer) — they become the spares the next commit builds into.
+		r.spare[0], r.spare[1] = r.sigs[slot], r.wsigs[slot]
+		r.sigs[slot], r.wsigs[slot] = sig, wsig
 		st.sinceSim = 0
 		res.SimUpdated = true
 		// Signature construction: one hash+set per line.

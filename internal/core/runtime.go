@@ -108,9 +108,13 @@ type Runtime struct {
 	sigs  []bloom.Signature
 	wsigs []bloom.Signature
 
-	// sigFree recycles signatures displaced from sigs/wsigs by a newer
-	// commit, so steady-state commit bookkeeping allocates nothing.
-	sigFree []bloom.Signature
+	// spare holds the two empty signatures the next similarity-updating
+	// commit builds into: it trades them for the slot's displaced pair, so
+	// a signature is carved only when the slot had none. At most
+	// 2·len(sigs)+2 signatures therefore exist at once, all carved from
+	// slab, which Reset takes back whole and sizes for that bound.
+	spare [2]bloom.Signature
+	slab  bloom.Slab
 
 	// suspectBuf is the reusable backing store of SuspectStatics, sized
 	// to the confidence table's axis so suspect collection never grows it.
@@ -120,6 +124,18 @@ type Runtime struct {
 // NewRuntime allocates a runtime for the given configuration and cost
 // model.
 func NewRuntime(cfg Config, cost CostModel) *Runtime {
+	r := new(Runtime)
+	r.Reset(cfg, cost)
+	return r
+}
+
+// Reset re-initialises the runtime in place for a new configuration and
+// cost model, as NewRuntime would build it: empty tables, neutral
+// similarity, no signatures and no instruments. Its tables and signature
+// storage are kept and re-carved, whatever the filter geometry, so a
+// runtime reused across runs stops allocating. Signatures and suspect
+// lists handed out before a Reset are invalid after it.
+func (r *Runtime) Reset(cfg Config, cost CostModel) {
 	if cfg.NumThreads <= 0 || cfg.NumStatic <= 0 {
 		panic("core: runtime needs positive thread and static-transaction counts")
 	}
@@ -128,14 +144,19 @@ func NewRuntime(cfg Config, cost CostModel) *Runtime {
 	}
 	m := cfg.confDim()
 	n := cfg.NumThreads * cfg.statDim()
-	r := &Runtime{
-		cfg:        cfg,
-		cost:       cost,
-		conf:       make([]float64, m*m),
-		stats:      make([]txStats, n),
-		sigs:       make([]bloom.Signature, n),
-		wsigs:      make([]bloom.Signature, n),
-		suspectBuf: make([]uint64, 0, m),
+	r.cfg, r.cost, r.met = cfg, cost, runtimeMetrics{}
+	r.conf = resize(r.conf, m*m)
+	r.stats = resize(r.stats, n)
+	r.sigs = resize(r.sigs, n)
+	r.wsigs = resize(r.wsigs, n)
+	r.spare = [2]bloom.Signature{}
+	if cfg.Perfect {
+		r.slab.Reset(0, 0)
+	} else {
+		r.slab.Reset(2*n+2, cfg.BloomBits)
+	}
+	if cap(r.suspectBuf) < m {
+		r.suspectBuf = make([]uint64, 0, m)
 	}
 	for i := range r.stats {
 		r.stats[i].waitingOn = NoTx
@@ -145,7 +166,17 @@ func NewRuntime(cfg Config, cost CostModel) *Runtime {
 		// many commits (Section 5.3.2's batching).
 		r.stats[i].sim = 0.5
 	}
-	return r
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetMetrics points the runtime's instrumentation at a registry. A nil
@@ -295,31 +326,19 @@ func (r *Runtime) ConfidenceTableBytes() int {
 	return d * d
 }
 
-func (r *Runtime) newSignature() bloom.Signature {
-	if r.cfg.Perfect {
-		return bloom.NewExactSet()
-	}
-	return bloom.NewFilter(r.cfg.BloomBits, r.cfg.BloomHashes)
-}
-
-// getSignature returns an empty signature, reusing a recycled one when
-// available.
-func (r *Runtime) getSignature() bloom.Signature {
-	if n := len(r.sigFree); n > 0 {
-		s := r.sigFree[n-1]
-		r.sigFree[n-1] = nil
-		r.sigFree = r.sigFree[:n-1]
+// fresh returns spare signature i emptied, carving one from the slab when
+// the last commit of its slot displaced none.
+func (r *Runtime) fresh(i int) bloom.Signature {
+	s := r.spare[i]
+	switch {
+	case s != nil:
 		s.Reset()
-		return s
+	case r.cfg.Perfect:
+		s = r.slab.ExactSet()
+	default:
+		s = r.slab.Filter(r.cfg.BloomBits, r.cfg.BloomHashes)
 	}
-	return r.newSignature()
-}
-
-// putSignature recycles a signature no longer referenced by the tables.
-func (r *Runtime) putSignature(s bloom.Signature) {
-	if s != nil {
-		r.sigFree = append(r.sigFree, s)
-	}
+	return s
 }
 
 func (r *Runtime) String() string {

@@ -82,20 +82,28 @@ func cloneResult(res *sim.Result) *sim.Result {
 	return &c
 }
 
-// TestRecycledCellsMatchFresh pins that recycling simulator shells from
-// one cell to the next is invisible. Every manager runs on all seven
-// kernels and on the wide machine (each kernel also runs its 1×1
-// baseline), at reduced scale, three ways: in one cell order and in the
-// reverse one, each on a four-worker session so shells change hands
-// between goroutines and geometries, and each cell fresh, after two
-// collections have emptied the shell pool. Results, metrics snapshots and
+// TestRecycledCellsMatchFresh pins that recycling simulator shells, and
+// the managers retired in them, from one cell to the next is invisible.
+// Every manager runs on all seven kernels and on the wide machine (each
+// kernel also runs its 1×1 baseline), at reduced scale, three ways: in one
+// cell order and in the reverse one, each on a four-worker session so
+// shells change hands between goroutines and geometries, and each cell
+// fresh, after two collections have emptied the shell pool. BFGTS-SW and
+// BFGTS-HW run at 512, 1024 and 8192 bits, so a recycled runtime's
+// signature slab is re-carved across Bloom geometries in both directions
+// and between Bloom filters and NoOverhead's exact sets. Results, metrics snapshots and
 // decision traces must agree across all three. Every Result is also
 // deep-copied as it is returned and compared with itself once its whole
 // pass is over: a Result aliasing its shell — the conflict matrix used to
 // be the TM's own — changes when a later cell reuses that shell.
 func TestRecycledCellsMatchFresh(t *testing.T) {
 	specs := append(BaselineSpecs(), PerThreadBackoffSpec())
-	for _, mode := range []sched.BFGTSMode{sched.BFGTSSW, sched.BFGTSHW, sched.BFGTSHWBackoff, sched.BFGTSNoOverhead} {
+	for _, mode := range []sched.BFGTSMode{sched.BFGTSSW, sched.BFGTSHW} {
+		for _, bits := range []int{512, 1024, 8192} {
+			specs = append(specs, bfgtsSpec(mode, bits, 0))
+		}
+	}
+	for _, mode := range []sched.BFGTSMode{sched.BFGTSHWBackoff, sched.BFGTSNoOverhead} {
 		specs = append(specs, bfgtsSpec(mode, 1024, 0))
 	}
 	cfg := Config{Cores: 8, ThreadsPerCore: 2, Seed: 3, Scale: 0.01, Workers: 4}

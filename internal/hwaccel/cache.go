@@ -61,6 +61,15 @@ func (c *Cache) SetMetrics(hits, misses *metrics.Counter) {
 // NewCache builds a cache model; the configuration must describe at least
 // one set of at least one way.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.reset(cfg)
+	return c
+}
+
+// reset empties the cache in place for cfg, as NewCache would build it:
+// no lines, zero counters, no instruments. The set storage is kept when
+// it fits.
+func (c *Cache) reset(cfg CacheConfig) {
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	if nLines <= 0 || cfg.Ways <= 0 {
 		panic("hwaccel: degenerate cache configuration")
@@ -69,11 +78,17 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nSets == 0 {
 		nSets = 1
 	}
-	sets := make([][]uint64, nSets)
-	for i := range sets {
-		sets[i] = make([]uint64, 0, cfg.Ways)
+	sets := c.sets
+	if len(sets) != nSets {
+		sets = make([][]uint64, nSets)
 	}
-	return &Cache{cfg: cfg, sets: sets}
+	for i := range sets {
+		if cap(sets[i]) < cfg.Ways {
+			sets[i] = make([]uint64, 0, cfg.Ways)
+		}
+		sets[i] = sets[i][:0]
+	}
+	*c = Cache{cfg: cfg, sets: sets}
 }
 
 // Access touches the byte address and returns the access latency in

@@ -43,23 +43,39 @@ type Bank struct {
 // confidence table.
 func NewBank(rt *core.Runtime, nCPUs int, cacheCfg CacheConfig) *Bank {
 	b := &Bank{}
-	for cpu := 0; cpu < nCPUs; cpu++ {
-		p := &Predictor{
+	b.Reset(rt, nCPUs, cacheCfg)
+	return b
+}
+
+// Reset re-initialises the bank in place for nCPUs processors over rt, as
+// NewBank would build it: every CPU table idle, every confidence cache
+// cold, no instruments. Units, tables and cache sets are kept.
+func (b *Bank) Reset(rt *core.Runtime, nCPUs int, cacheCfg CacheConfig) {
+	for len(b.units) < nCPUs {
+		b.units = append(b.units, &Predictor{cache: &Cache{}})
+	}
+	b.units = b.units[:nCPUs]
+	for cpu, p := range b.units {
+		table, cache := p.cpuTable, p.cache
+		if cap(table) < nCPUs {
+			table = make([]int, nCPUs)
+		}
+		table = table[:nCPUs]
+		for i := range table {
+			table[i] = core.NoTx
+		}
+		cache.reset(cacheCfg)
+		*p = Predictor{
 			cpu:         cpu,
 			rt:          rt,
-			cpuTable:    make([]int, nCPUs),
+			cpuTable:    table,
 			threshold:   rt.Config().ConfThreshold,
 			waitReg:     core.NoTx,
-			cache:       NewCache(cacheCfg),
+			cache:       cache,
 			walkCycles:  3,
 			entryCycles: 1,
 		}
-		for i := range p.cpuTable {
-			p.cpuTable[i] = core.NoTx
-		}
-		b.units = append(b.units, p)
 	}
-	return b
 }
 
 // Unit returns the predictor attached to a CPU.

@@ -50,8 +50,11 @@ type BFGTS struct {
 	mode BFGTSMode
 	rt   *core.Runtime
 
-	bank     *hwaccel.Bank // HW modes only
-	cpuTable []int         // SW modes only
+	// hw routes predictions to bank and CPU-slot changes to its snoop
+	// broadcasts (HW modes); otherwise cpuTable is the CPU table.
+	hw       bool
+	bank     *hwaccel.Bank
+	cpuTable []int
 
 	// dir/probe are the Bloofi directory over the CPU table (SW modes,
 	// unless Env.LinearScan): each occupied slot is indexed under the
@@ -59,6 +62,9 @@ type BFGTS struct {
 	// scan descends only subtrees holding a suspect instead of walking
 	// every entry. Results are byte-identical to the linear walk (see
 	// core.PredictDir).
+	//
+	// A recycled BFGTS keeps the bank and the directory through runs that
+	// do not use them, for the next run that does.
 	dir   *bloofi.Tree
 	probe *bloofi.Probe
 
@@ -84,8 +90,24 @@ type BFGTS struct {
 
 // NewBFGTS builds a manager variant. cfg seeds the core runtime; its
 // NumThreads/NumStatic are overridden from env. For BFGTSNoOverhead the
-// signature and cost settings are forced to perfect/one-cycle.
+// signature and cost settings are forced to perfect/one-cycle. A BFGTS
+// retired in env.Retired is taken and re-initialised in place.
 func NewBFGTS(env Env, mode BFGTSMode, cfg core.Config) *BFGTS {
+	var b *BFGTS
+	if r := env.Retired; r != nil {
+		b, r.bfgts = r.bfgts, nil
+	}
+	if b == nil {
+		b = new(BFGTS)
+	}
+	b.init(env, mode, cfg)
+	return b
+}
+
+// init makes b the manager NewBFGTS describes, whether b is new or
+// retired: the runtime, the bank, the CPU table and the directory it
+// already holds are reset in place, and everything else starts over.
+func (b *BFGTS) init(env Env, mode BFGTSMode, cfg core.Config) {
 	cfg.NumThreads = env.NumThreads
 	cfg.NumStatic = env.NumStatic
 	costs := core.DefaultCosts()
@@ -93,23 +115,31 @@ func NewBFGTS(env Env, mode BFGTSMode, cfg core.Config) *BFGTS {
 		cfg.Perfect = true
 		costs = core.NoOverheadCosts()
 	}
-	b := &BFGTS{
+	rt := b.rt
+	if rt == nil {
+		rt = new(core.Runtime)
+	}
+	rt.Reset(cfg, costs)
+	*b = BFGTS{
 		env:               env,
 		mode:              mode,
-		rt:                core.NewRuntime(cfg, costs),
+		rt:                rt,
+		hw:                mode == BFGTSHW || mode == BFGTSHWBackoff,
+		bank:              b.bank,
+		cpuTable:          b.cpuTable,
+		dir:               b.dir,
+		probe:             b.probe,
 		PressureThreshold: 0.25,
 	}
-	switch mode {
-	case BFGTSHW, BFGTSHWBackoff:
-		b.bank = hwaccel.NewBank(b.rt, env.NumCPUs, hwaccel.DefaultCacheConfig())
-	default:
-		b.cpuTable = make([]int, env.NumCPUs)
-		for i := range b.cpuTable {
-			b.cpuTable[i] = core.NoTx
+	if b.hw {
+		if b.bank == nil {
+			b.bank = new(hwaccel.Bank)
 		}
+		b.bank.Reset(rt, env.NumCPUs, hwaccel.DefaultCacheConfig())
+	} else {
+		b.cpuTable = idleTable(b.cpuTable, env.NumCPUs)
 		if !env.LinearScan {
-			b.dir = bloofi.New(bloofi.Config{Capacity: env.NumCPUs})
-			b.probe = bloofi.NewProbe(b.dir)
+			b.dir, b.probe = resetDir(b.dir, b.probe, env.NumCPUs)
 		}
 	}
 	if mode == BFGTSHWBackoff {
@@ -119,14 +149,14 @@ func NewBFGTS(env Env, mode BFGTSMode, cfg core.Config) *BFGTS {
 	}
 	reg := env.Metrics
 	b.rt.SetMetrics(reg)
-	if b.bank != nil {
+	if b.hw {
 		b.bank.SetMetrics(reg)
 	}
 	b.metPredictions = reg.Counter("sched.predictions")
 	b.metSerSpin = reg.Counter("sched.serialize.spin")
 	b.metSerYield = reg.Counter("sched.serialize.yield")
 	b.metAborts = reg.Counter("sched.aborts")
-	if b.dir != nil {
+	if !b.hw && !env.LinearScan {
 		b.metProbeNodes = reg.Histogram("sched.bfgts.probe.nodes")
 		b.metProbeCands = reg.Histogram("sched.bfgts.probe.candidates")
 		b.metProbeRun = reg.Histogram("sched.bfgts.probe.running")
@@ -138,7 +168,6 @@ func NewBFGTS(env Env, mode BFGTSMode, cfg core.Config) *BFGTS {
 			reg.Counter("sched.pressure.cross_up"),
 			reg.Counter("sched.pressure.cross_down"))
 	}
-	return b
 }
 
 // Name implements Manager.
@@ -153,10 +182,10 @@ func (b *BFGTS) Mode() BFGTSMode { return b.mode }
 
 func (b *BFGTS) predict(tid, stx int) core.Prediction {
 	cpu := b.env.CPUOf(tid)
-	if b.bank != nil {
+	if b.hw {
 		return b.bank.Unit(cpu).Predict(stx)
 	}
-	if b.dir != nil {
+	if !b.env.LinearScan {
 		pred := b.rt.PredictDir(stx, b.cpuTable, cpu, b.probe)
 		b.metProbeNodes.Observe(int64(b.probe.Nodes()))
 		b.metProbeCands.Observe(int64(b.probe.Candidates()))
@@ -204,7 +233,7 @@ func (b *BFGTS) OnBegin(tid, stx int) BeginResult {
 // directly, and the Bloofi directory (when enabled) mirrors it — occupied
 // slots are indexed under the folded static ID of their transaction.
 func (b *BFGTS) OnCPUSlot(cpu, dtx int) {
-	if b.bank != nil {
+	if b.hw {
 		if dtx == core.NoTx {
 			b.bank.BroadcastEnd(cpu)
 		} else {
@@ -213,7 +242,7 @@ func (b *BFGTS) OnCPUSlot(cpu, dtx int) {
 		return
 	}
 	b.cpuTable[cpu] = dtx
-	if b.dir == nil {
+	if b.env.LinearScan {
 		return
 	}
 	if dtx == core.NoTx {

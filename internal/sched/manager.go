@@ -121,6 +121,32 @@ type Env struct {
 	// results, so this exists for the differential tests and as an
 	// escape hatch, not as a modeled-machine knob.
 	LinearScan bool
+	// Retired, when non-nil, lends the constructors the managers earlier
+	// runs in the same domain left behind: a constructor takes the one of
+	// its own type, if any, and re-initialises it in place instead of
+	// allocating. The runner files each run's manager here once the run
+	// has ended.
+	Retired *Retired
+}
+
+// Retired holds, per recyclable manager type, the manager the last
+// finished run of that type left behind. Taking one leaves the others, so
+// a BFGTS survives the Backoff cells between two BFGTS cells. A Retired
+// and the managers in it belong to one goroutine at a time.
+type Retired struct {
+	bfgts *BFGTS
+	pts   *PTS
+}
+
+// Retire files m for the next constructor of its type. Managers of other
+// types are dropped.
+func (r *Retired) Retire(m Manager) {
+	switch m := m.(type) {
+	case *BFGTS:
+		r.bfgts = m
+	case *PTS:
+		r.pts = m
+	}
 }
 
 // ConfidenceReporter is an optional Manager extension exposing the mean

@@ -31,25 +31,29 @@ type PTS struct {
 
 	// conf is the conflict graph: confidence per ordered dTxID pair.
 	conf map[[2]int]float64
-	// sigs holds each dTxID's most recent committed read/write-set filter.
-	sigs map[int]*bloom.Filter
-	// sigFree recycles filters displaced from sigs, so steady-state commits
-	// reuse instead of allocating one filter per commit.
-	sigFree []*bloom.Filter
-	// waitingOn records the dTxID each dTxID last serialized behind.
-	waitingOn map[int]int
-	// suspects caches, per dTxID, the ascending dTxIDs whose edge from it
+	// sigs holds, per dTxID, its most recent committed read/write-set
+	// filter (nil before its first commit). spare is the empty filter the
+	// next commit builds into, traded for the one it displaces, so a
+	// filter is carved from slab only for a dTxID's first commit: at most
+	// len(sigs)+1 exist at once, the room init reserves.
+	sigs  []*bloom.Filter
+	spare *bloom.Filter
+	slab  bloom.Slab
+	// waitingOn records, per dTxID, the dTxID it last serialized behind,
+	// or core.NoTx.
+	waitingOn []int
+	// suspects holds, per dTxID, the ascending dTxIDs whose edge from it
 	// currently clears Threshold — maintained at every addConf threshold
 	// crossing, so the directory probe's suspect set is exactly the set
 	// the linear scan would have matched. Threshold is fixed after
-	// construction, which is what keeps the cache coherent.
-	suspects map[int][]uint64
+	// construction, which is what keeps the lists coherent.
+	suspects [][]uint64
 
 	cpuTable []int
 	// dir/probe index occupied CPU slots under the dynamic transaction ID
-	// running there (nil under Env.LinearScan). Unlike BFGTS there is no
-	// static-ID folding: PTS's conflict graph is keyed by dTxID pairs, so
-	// the dTxID itself is the identity key.
+	// running there (unused under Env.LinearScan). Unlike BFGTS there is
+	// no static-ID folding: PTS's conflict graph is keyed by dTxID pairs,
+	// so the dTxID itself is the identity key.
 	dir   *bloofi.Tree
 	probe *bloofi.Probe
 
@@ -73,40 +77,102 @@ type PTS struct {
 }
 
 // NewPTS returns the manager with the standard configuration from the PTS
-// paper as used in this paper's comparison.
+// paper as used in this paper's comparison. A PTS retired in env.Retired
+// is taken and re-initialised in place.
 func NewPTS(env Env) *PTS {
-	p := &PTS{
+	var p *PTS
+	if r := env.Retired; r != nil {
+		p, r.pts = r.pts, nil
+	}
+	if p == nil {
+		p = new(PTS)
+	}
+	p.init(env)
+	return p
+}
+
+// init makes p the manager NewPTS describes, whether p is new or retired:
+// the conflict graph, the per-dTxID tables, the filter slab, the CPU table
+// and the directory it already holds are emptied in place, and everything
+// else starts over.
+func (p *PTS) init(env Env) {
+	n := env.NumThreads * env.NumStatic
+	conf := p.conf
+	if conf == nil {
+		conf = make(map[[2]int]float64)
+	}
+	clear(conf)
+	suspects := p.suspects
+	if cap(suspects) < n {
+		suspects = append(suspects[:cap(suspects)], make([][]uint64, n-cap(suspects))...)
+	}
+	suspects = suspects[:n]
+	for i := range suspects {
+		suspects[i] = suspects[i][:0]
+	}
+	*p = PTS{
 		env:           env,
 		Threshold:     0.30,
 		Inc:           0.35,
 		Dec:           0.05,
-		conf:          make(map[[2]int]float64),
-		sigs:          make(map[int]*bloom.Filter),
-		waitingOn:     make(map[int]int),
-		suspects:      make(map[int][]uint64),
-		cpuTable:      make([]int, env.NumCPUs),
+		conf:          conf,
+		sigs:          resize(p.sigs, n),
+		slab:          p.slab,
+		waitingOn:     idleTable(p.waitingOn, n),
+		suspects:      suspects,
+		cpuTable:      idleTable(p.cpuTable, env.NumCPUs),
+		dir:           p.dir,
+		probe:         p.probe,
 		scanEntryCost: 45,
 		bloomBits:     2048,
 	}
-	for i := range p.cpuTable {
-		p.cpuTable[i] = core.NoTx
-	}
+	p.slab.Reset(n+1, p.bloomBits)
 	if !env.LinearScan {
-		p.dir = bloofi.New(bloofi.Config{Capacity: env.NumCPUs})
-		p.probe = bloofi.NewProbe(p.dir)
+		p.dir, p.probe = resetDir(p.dir, p.probe, env.NumCPUs)
 	}
 	if reg := env.Metrics; reg != nil {
 		p.metScanLen = reg.Histogram("sched.pts.scan_len")
 		p.metSerial = reg.Counter("sched.pts.serializations")
 		p.metEdges = reg.Gauge("sched.pts.graph_edges")
 		p.metAborts = reg.Counter("sched.aborts")
-		if p.dir != nil {
+		if !env.LinearScan {
 			p.metProbeNodes = reg.Histogram("sched.pts.probe.nodes")
 			p.metProbeCands = reg.Histogram("sched.pts.probe.candidates")
 			p.metProbeRun = reg.Histogram("sched.pts.probe.running")
 		}
 	}
-	return p
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// idleTable returns t with length n and every entry core.NoTx, reusing
+// its storage when it is large enough.
+func idleTable(t []int, n int) []int {
+	t = resize(t, n)
+	for i := range t {
+		t[i] = core.NoTx
+	}
+	return t
+}
+
+// resetDir returns an empty Bloofi directory over n slots with its probe:
+// dir emptied in place when its capacity is n, a new one otherwise.
+func resetDir(dir *bloofi.Tree, probe *bloofi.Probe, n int) (*bloofi.Tree, *bloofi.Probe) {
+	if dir == nil || dir.Capacity() != n {
+		dir = bloofi.New(bloofi.Config{Capacity: n})
+		return dir, bloofi.NewProbe(dir)
+	}
+	dir.Reset()
+	return dir, probe
 }
 
 // Name implements Manager.
@@ -154,14 +220,9 @@ func (p *PTS) updateSuspects(d1, d2 int, was, now bool) {
 		s = append(s, 0)
 		copy(s[i+1:], s[i:])
 		s[i] = key
-		p.suspects[d1] = s
-		return
-	}
-	copy(s[i:], s[i+1:])
-	s = s[:len(s)-1]
-	if len(s) == 0 {
-		delete(p.suspects, d1)
-		return
+	} else {
+		copy(s[i:], s[i+1:])
+		s = s[:len(s)-1]
 	}
 	p.suspects[d1] = s
 }
@@ -175,7 +236,7 @@ func (p *PTS) OnBegin(tid, stx int) BeginResult {
 	selfCPU := p.env.CPUOf(tid)
 	res := BeginResult{Action: Proceed, WaitDTx: core.NoTx}
 	res.Overhead = 120 + int64(p.env.NumCPUs)*p.scanEntryCost
-	if p.dir != nil {
+	if !p.env.LinearScan {
 		p.beginProbe(self, selfCPU, &res)
 		return res
 	}
@@ -252,7 +313,7 @@ func (p *PTS) beginProbe(self, selfCPU int, res *BeginResult) {
 // OnCPUSlot implements Manager.
 func (p *PTS) OnCPUSlot(cpu, dtx int) {
 	p.cpuTable[cpu] = dtx
-	if p.dir == nil {
+	if p.env.LinearScan {
 		return
 	}
 	if dtx == core.NoTx {
@@ -286,22 +347,19 @@ func (p *PTS) OnAbort(tid, stx, enemyTid, enemyStx, attempts int) AbortResult {
 // recorded serialization with a raw bitwise intersection.
 func (p *PTS) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	self := p.dtx(tid, stx)
-	var sig *bloom.Filter
-	if n := len(p.sigFree); n > 0 {
-		sig = p.sigFree[n-1]
-		p.sigFree[n-1] = nil
-		p.sigFree = p.sigFree[:n-1]
-		sig.Reset()
+	sig := p.spare
+	if sig == nil {
+		sig = p.slab.Filter(p.bloomBits, bloom.DefaultHashes)
 	} else {
-		sig = bloom.NewFilter(p.bloomBits, bloom.DefaultHashes)
+		sig.Reset()
 	}
 	for _, a := range lines {
 		sig.Add(a)
 	}
 	cost := int64(100) + int64(size)*2 // build filter, bookkeeping
 
-	if waited, ok := p.waitingOn[self]; ok {
-		delete(p.waitingOn, self)
+	if waited := p.waitingOn[self]; waited != core.NoTx {
+		p.waitingOn[self] = core.NoTx
 		if prev := p.sigs[waited]; prev != nil {
 			cost += int64(sig.Words()) * 2 // word-wise AND walk
 			if sig.IntersectsNonNull(prev) {
@@ -313,12 +371,10 @@ func (p *PTS) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 			cost += 50
 		}
 	}
-	if prev := p.sigs[self]; prev != nil {
-		// The displaced filter was only consulted above (as the waited-on
-		// side of validation, never self), so it is safe to recycle.
-		p.sigFree = append(p.sigFree, prev)
-	}
-	p.sigs[self] = sig
+	// The displaced filter was only consulted above (as the waited-on
+	// side of validation, never self), so the next commit may build into
+	// it.
+	p.spare, p.sigs[self] = p.sigs[self], sig
 	return cost
 }
 

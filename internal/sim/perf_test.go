@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/stamp"
 )
 
@@ -55,13 +57,14 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 }
 
-// cellSetupBudget is what a warm 64-thread cell may allocate from NewRunner
-// through buildResult beyond its manager: the programs the workload builds
-// for the threads (about 150 B each) and the Result. Everything else — the
-// thread slab and its scratch, engines, machines, the TM's directory, the
-// manager's RNG, the programs' access buffers — comes from a recycled
-// shell. Before shells, the same cell allocated 132 KB in 1 781
-// allocations.
+// cellSetupBytes and cellSetupMallocs budget one warm cell of
+// TestCellSetupAllocBudget under any manager: every manager's cell
+// measures 10.0–10.7 KB in 200–210 allocations, and the budget adds a
+// margin. Before shells, the Backoff cell allocated 132 KB in 1 781
+// allocations; before recycled managers, the BFGTS-SW, BFGTS-HW,
+// NoOverhead and PTS cells allocated 31, 37, 30 and 159 KB (the runtime's
+// tables and signatures, the accelerator bank, the exact sets, the
+// conflict graph and commit filters).
 const (
 	cellSetupBytes   = 12 << 10
 	cellSetupMallocs = 240
@@ -69,37 +72,71 @@ const (
 
 // TestCellSetupAllocBudget gates the recycled set-up with exact counts: the
 // MemStats delta across one warm Fig. 4a-shaped cell (16 cores × 4
-// threads, intruder under Backoff), not a floored per-run mean.
+// threads, intruder), not a floored per-run mean. A cell allocates its
+// thread programs (about 150 B each) and its Result; everything else — the
+// thread slab and its scratch, engines, machines, the TM's directory, the
+// manager's RNG, the programs' access buffers — comes from a recycled
+// shell, and a BFGTS or PTS manager is the one an earlier cell of its type
+// retired in that shell, reset in place with its runtime, signature slab,
+// accelerator bank, directory and conflict graph. Each subtest warms the
+// shell with the cells in warm, then measures cell: the BFGTS-SW cell is
+// measured at 512 bits after an 8192-bit warm-up (the slab has no
+// geometry), and the PTS cell after a Backoff cell came between it and the
+// PTS cell that retired its manager. A failure names the manager.
 func TestCellSetupAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops shells at random")
 	}
 	f, _ := stamp.ByName("intruder")
-	cfg := func() RunConfig {
-		return RunConfig{
-			Cores:          16,
-			ThreadsPerCore: 4,
-			Seed:           1,
-			Workload:       f.New(400),
-			NewManager:     managerFactory("backoff"),
-			MaxCycles:      2_000_000_000,
+	bfgts := func(mode sched.BFGTSMode, bits int) func(sched.Env) sched.Manager {
+		return func(env sched.Env) sched.Manager {
+			cfg := core.DefaultConfig(env.NumThreads, env.NumStatic)
+			cfg.BloomBits = bits
+			return sched.NewBFGTS(env, mode, cfg)
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	NewRunner(cfg()).Run() // warm: the shell grows to the cell's shape
-	c := cfg()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	res := NewRunner(c).Run()
-	runtime.ReadMemStats(&m1)
-	if res.Commits != 400 {
-		t.Fatalf("cell committed %d of 400", res.Commits)
-	}
-	bytes, mallocs := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
-	t.Logf("warm cell: %d B in %d allocations", bytes, mallocs)
-	if bytes > cellSetupBytes || mallocs > cellSetupMallocs {
-		t.Errorf("warm cell allocated %d B in %d allocations, budget %d B in %d",
-			bytes, mallocs, cellSetupBytes, cellSetupMallocs)
+	type mgr = func(sched.Env) sched.Manager
+	for _, c := range []struct {
+		name string
+		warm []mgr
+		cell mgr
+	}{
+		{"Backoff", []mgr{managerFactory("backoff")}, managerFactory("backoff")},
+		{"BFGTS-SW", []mgr{bfgts(sched.BFGTSSW, 8192)}, bfgts(sched.BFGTSSW, 512)},
+		{"BFGTS-HW", []mgr{bfgts(sched.BFGTSHW, 2048)}, bfgts(sched.BFGTSHW, 2048)},
+		{"BFGTS-NoOverhead", []mgr{managerFactory("bfgts-no")}, managerFactory("bfgts-no")},
+		{"PTS", []mgr{managerFactory("pts"), managerFactory("backoff")}, managerFactory("pts")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := func(m mgr) RunConfig {
+				return RunConfig{
+					Cores:          16,
+					ThreadsPerCore: 4,
+					Seed:           1,
+					Workload:       f.New(400),
+					NewManager:     m,
+					MaxCycles:      2_000_000_000,
+				}
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for _, m := range c.warm {
+				NewRunner(cfg(m)).Run() // the shell grows to the cell's shape
+			}
+			rc := cfg(c.cell)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res := NewRunner(rc).Run()
+			runtime.ReadMemStats(&m1)
+			if res.Commits != 400 {
+				t.Fatalf("%s cell committed %d of 400", c.name, res.Commits)
+			}
+			bytes, mallocs := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+			t.Logf("warm %s cell: %d B in %d allocations", c.name, bytes, mallocs)
+			if bytes > cellSetupBytes || mallocs > cellSetupMallocs {
+				t.Errorf("warm %s cell allocated %d B in %d allocations, budget %d B in %d",
+					c.name, bytes, mallocs, cellSetupBytes, cellSetupMallocs)
+			}
+		})
 	}
 }
 

@@ -529,6 +529,10 @@ type domainState struct {
 	sys *tm.System
 	mgr sched.Manager
 	rng *rand.Rand // the manager's Env.Rand, reseeded for every run
+	// retired keeps, per recyclable manager type, the manager an earlier
+	// run in this domain left, for the constructor (Env.Retired) to reset
+	// in place.
+	retired sched.Retired
 
 	cpuSlot []int
 
@@ -712,6 +716,7 @@ func NewRunner(cfg RunConfig) *Runner {
 		*dom = domainState{
 			sys:           dom.sys,
 			rng:           dom.rng,
+			retired:       dom.retired,
 			cpuSlot:       resize(dom.cpuSlot, cfg.Cores),
 			simSum:        resize(dom.simSum, nStatic),
 			simCnt:        resize(dom.simCnt, nStatic),
@@ -740,6 +745,7 @@ func NewRunner(cfg RunConfig) *Runner {
 			Rand:       dom.rng,
 			Metrics:    dom.reg,
 			LinearScan: cfg.NoBloofi,
+			Retired:    &dom.retired,
 		})
 		dom.bindInstruments()
 	}
@@ -805,9 +811,14 @@ type accessBuffered interface {
 }
 
 // release hands the shell back for the next NewRunner, taking back the
-// access buffers lent to the programs. The Result must already hold copies
-// of everything it keeps.
+// access buffers lent to the programs and retiring each domain's manager
+// for the next constructor of its type. The Result must already hold
+// copies of everything it keeps.
 func (r *Runner) release() {
+	for _, dom := range r.doms {
+		dom.retired.Retire(dom.mgr)
+		dom.mgr = nil
+	}
 	for i := range r.ctxs {
 		ctx := &r.ctxs[i]
 		if bp, ok := ctx.prog.(accessBuffered); ok {

@@ -31,12 +31,20 @@ go vet -vettool="$workdir/bfgtsvet" ./...
 go test -race -short -count=1 -timeout 300s \
 	-run 'TestEntangledShardedMatchesSequential|TestPartitionedWideMatchesSequential|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
 	./internal/sim/
-# Recycled runner shells: every manager on every kernel and the wide
-# machine, in two cell orders on a four-worker session and fresh, must
+# Recycled runner shells and the managers retired in them: every manager
+# on every kernel and the wide machine (BFGTS-SW/HW at 512, 1024 and 8192
+# bits), in two cell orders on a four-worker session and fresh, must
 # agree, and no Result may change when a later cell reuses its shell.
 go test -race -short -count=1 -timeout 300s -cpu 1,2,4 \
 	-run 'TestRecycledCellsMatchFresh' \
 	./internal/harness/
+# Allocation budgets, counted exactly (MemStats deltas): a warm cell under
+# each manager kind, and the engine's schedule/fire cycle. The cell budgets
+# skip themselves under the race detector, whose sync.Pool drops shells at
+# random, so this lane runs without it.
+go test -count=20 -cpu 1,2 \
+	-run 'TestCellSetupAllocBudget|TestEngineDispatchAllocFree' \
+	./internal/sim/
 go test -race -short -count=1 -timeout 300s \
 	-run 'TestAtomicTreeMatchesTree|TestAtomicTreeRepairNoStaleBits|TestAtomicTreeConcurrentStress' \
 	./internal/bloofi/
