@@ -122,24 +122,6 @@ func BenchmarkAblationSuspendPolicy(b *testing.B) {
 	runExperiment(b, "abl-suspend", nil)
 }
 
-// BenchmarkFig4aSharded regenerates Figure 4a with every simulation split
-// into 4 entangled shards (stamp workloads have no shard partition, so this
-// exercises the shared-clock lane driver). Output is byte-identical to the
-// unsharded run — this benchmark prices the entanglement overhead against
-// BenchmarkFig4a.
-func BenchmarkFig4aSharded(b *testing.B) {
-	exp, ok := harness.ExperimentByID("fig4a")
-	if !ok {
-		b.Fatal("fig4a experiment missing")
-	}
-	cfg := benchConfig()
-	cfg.Shards = 4
-	for i := 0; i < b.N; i++ {
-		rep := exp.Run(harness.NewRunner(cfg))
-		b.ReportMetric(rep.Values["avg_BFGTS-HW"], "bfgts-hw-avg-speedup")
-	}
-}
-
 // BenchmarkWideSharded sweeps the shard count on a 256-core, 100k-transaction
 // wide simulation under the shard-safe manager — the fully-partitioned path.
 // The simulated result is identical at every shard count (pinned by

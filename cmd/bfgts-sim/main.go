@@ -70,8 +70,6 @@ func main() {
 	jsonOut := flag.String("json-out", "", "experiment run: write all reports as schema-versioned JSON to this file")
 	seeds := flag.Int("seeds", 1, "run the experiment across this many seeds and report mean±sd")
 	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = all CPUs, 1 = serial)")
-	noBatch := flag.Bool("no-batch", false, "disable horizon-batched execution (legacy per-access events; identical output, slower)")
-	noBloofi := flag.Bool("no-bloofi", false, "disable the Bloofi signature directory (linear begin-time scans; identical output, slower at high core counts)")
 	shards := flag.Int("shards", 1, "split each simulation into this many synchronized engine/directory shards (identical output at any count)")
 	quiet := flag.Bool("quiet", false, "suppress per-simulation progress lines on stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the run to this file")
@@ -113,7 +111,7 @@ func main() {
 		}()
 	}
 
-	cfg := harness.Config{Cores: *cores, ThreadsPerCore: *tpc, Seed: *seed, Scale: *scale, Workers: *parallel, NoBatch: *noBatch, NoBloofi: *noBloofi, Shards: *shards}
+	cfg := harness.Config{Cores: *cores, ThreadsPerCore: *tpc, Seed: *seed, Scale: *scale, Workers: *parallel, Shards: *shards}
 	if !*quiet {
 		var mu sync.Mutex
 		done := 0

@@ -25,7 +25,7 @@ var gateEntryPoints = map[string][]string{
 	},
 	"sim": { // TestEngineDispatchAllocFree / TestShardHotPathAllocFree
 		"AtHandle", "AfterHandle", "atOp", "afterOp", "Step", "push", "pop",
-		"PeekKey", "Publish", "MinOther", "probeShared", "drainInbound",
+		"Publish", "MinOther", "probeShared", "drainInbound",
 		"processDrained", "waitHorizon", "inboundEmpty",
 	},
 	"bloom": { // TestEq3EstimateAllocFree

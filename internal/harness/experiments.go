@@ -59,7 +59,7 @@ func WideFactory(cores, tpc int) workload.Factory {
 }
 
 // wideSpecs are the managers the wide experiment compares: the shared-rand
-// Backoff baseline (entangled at shards>1), its shard-safe per-thread
+// Backoff baseline (sequential at any shard count), its shard-safe per-thread
 // variant (fully partitioned), and the reactive/proactive schedulers.
 func wideSpecs() []ManagerSpec {
 	return []ManagerSpec{

@@ -34,20 +34,11 @@ type Config struct {
 	// experiments fan out (RunAll, MultiSeed, warm passes). 0 means
 	// runtime.NumCPU(); 1 serializes all compute.
 	Workers int
-	// NoBatch runs every simulation on the legacy one-event-per-access
-	// engine path instead of horizon-batched execution. Output is
-	// cycle-identical either way; the switch exists for differential
-	// testing and bisection.
-	NoBatch bool
-	// NoBloofi runs every simulation with the Bloofi signature directory
-	// disabled, using the literal linear begin-time scans. Output is
-	// byte-identical either way; the switch exists for differential
-	// testing and bisection.
-	NoBloofi bool
 	// Shards splits every simulation into that many concurrently
 	// synchronized engine/directory shards (sim.RunConfig.Shards). Output
 	// is byte-identical at any shard count; the knob trades single-run
-	// wall-clock for shard coordination. 0 or 1 means unsharded.
+	// wall-clock for shard coordination; a cell that cannot partition falls
+	// back to the sequential engine. 0 or 1 means unsharded.
 	Shards int
 	// Progress, if non-nil, receives one line per simulation as it
 	// finishes (cache hits are silent). It may be called from multiple
@@ -115,16 +106,14 @@ var BloomSizes = []int{512, 1024, 2048, 4096, 8192}
 
 // runKey identifies a simulation for the in-process cache.
 type runKey struct {
-	bench    string
-	manager  string
-	cores    int
-	tpc      int
-	seed     uint64
-	scale    float64
-	profile  bool
-	noBatch  bool
-	noBloofi bool
-	shards   int
+	bench   string
+	manager string
+	cores   int
+	tpc     int
+	seed    uint64
+	scale   float64
+	profile bool
+	shards  int
 }
 
 // cacheEntry is one memoized simulation. The first caller of a runKey
@@ -207,11 +196,6 @@ func (r *Runner) Run(f workload.Factory, m ManagerSpec, profile bool) *sim.Resul
 	return r.runAt(f, m, r.cfg.Cores, r.cfg.ThreadsPerCore, profile)
 }
 
-// RunTraced simulates one cell with an event trace attached (uncached).
-func (r *Runner) RunTraced(f workload.Factory, m ManagerSpec, rec *trace.Recorder) *sim.Result {
-	return r.RunInstrumented(f, m, rec, nil)
-}
-
 // RunInstrumented simulates one cell with an optional event trace and an
 // optional metrics registry attached. Instrumented runs bypass the memo
 // cache: their observers are caller-owned, so sharing a cached result
@@ -232,8 +216,8 @@ func (r *Runner) RunInstrumented(f workload.Factory, m ManagerSpec, rec *trace.R
 			// Exact-set profiling feeds the bloom.est_error summary; it
 			// costs host time, not simulated cycles. It reads every
 			// thread's sets across the whole machine, so it is a global
-			// observer that would force a sharded run back to the
-			// entangled path — when the caller explicitly asked for the
+			// observer under which a sharded run falls back to the
+			// sequential engine — when the caller explicitly asked for the
 			// sharded engine, prefer the engine: shard-safe configs then
 			// take the partitioned path and the snapshot carries the
 			// sim.shard.* instruments instead of bloom.est_error.
@@ -241,8 +225,6 @@ func (r *Runner) RunInstrumented(f workload.Factory, m ManagerSpec, rec *trace.R
 			MaxCycles:         100_000_000_000,
 			Trace:             rec,
 			Metrics:           reg,
-			NoBatch:           r.cfg.NoBatch,
-			NoBloofi:          r.cfg.NoBloofi,
 			Shards:            r.cfg.Shards,
 		}).Run()
 	})
@@ -258,7 +240,7 @@ func (r *Runner) RunInstrumented(f workload.Factory, m ManagerSpec, rec *trace.R
 // cycle); the returned set is read-only and shared — callers must not
 // Reset its shards.
 func (r *Runner) RunDecisions(f workload.Factory, m ManagerSpec) (*sim.Result, *decision.Set) {
-	key := runKey{f.Name(), m.Name, r.cfg.Cores, r.cfg.ThreadsPerCore, r.cfg.Seed, r.cfg.Scale, false, r.cfg.NoBatch, r.cfg.NoBloofi, r.cfg.Shards}
+	key := runKey{f.Name(), m.Name, r.cfg.Cores, r.cfg.ThreadsPerCore, r.cfg.Seed, r.cfg.Scale, false, r.cfg.Shards}
 	r.mu.Lock()
 	if e, ok := r.decCache[key]; ok {
 		r.mu.Unlock()
@@ -280,8 +262,6 @@ func (r *Runner) RunDecisions(f workload.Factory, m ManagerSpec) (*sim.Result, *
 			NewManager:     m.New,
 			MaxCycles:      100_000_000_000,
 			Decisions:      set,
-			NoBatch:        r.cfg.NoBatch,
-			NoBloofi:       r.cfg.NoBloofi,
 			Shards:         r.cfg.Shards,
 		}).Run()
 		res.ManagerName = m.Name
@@ -307,8 +287,6 @@ func (r *Runner) ReplayFlips(f workload.Factory, m ManagerSpec, maxFlips int) *s
 			Workload:       w,
 			NewManager:     m.New,
 			MaxCycles:      100_000_000_000,
-			NoBatch:        r.cfg.NoBatch,
-			NoBloofi:       r.cfg.NoBloofi,
 			Shards:         r.cfg.Shards,
 		}, maxFlips)
 	})
@@ -323,7 +301,7 @@ func (r *Runner) Baseline(f workload.Factory) *sim.Result {
 }
 
 func (r *Runner) runAt(f workload.Factory, m ManagerSpec, cores, tpc int, profile bool) *sim.Result {
-	key := runKey{f.Name(), m.Name, cores, tpc, r.cfg.Seed, r.cfg.Scale, profile, r.cfg.NoBatch, r.cfg.NoBloofi, r.cfg.Shards}
+	key := runKey{f.Name(), m.Name, cores, tpc, r.cfg.Seed, r.cfg.Scale, profile, r.cfg.Shards}
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -344,8 +322,6 @@ func (r *Runner) runAt(f workload.Factory, m ManagerSpec, cores, tpc int, profil
 			NewManager:        m.New,
 			ProfileSimilarity: profile,
 			MaxCycles:         100_000_000_000,
-			NoBatch:           r.cfg.NoBatch,
-			NoBloofi:          r.cfg.NoBloofi,
 			Shards:            r.cfg.Shards,
 		}).Run()
 		res.ManagerName = m.Name // keep the spec name (includes Bloom size)

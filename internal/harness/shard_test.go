@@ -34,8 +34,8 @@ func shardExport(t *testing.T, shards int, ids ...string) []byte {
 // TestExportIdenticalAcrossShards is the harness-level sharding
 // differential: the machine-readable export of the wide experiment (whose
 // Backoff-PT cell takes the fully-partitioned path at shards 4) and a
-// stamp-based experiment (always entangled) must be byte-identical at
-// shards 1, 3 (non-dividing: everything entangled) and 4.
+// stamp-based experiment (always the sequential fallback) must be
+// byte-identical at shards 1, 3 (non-dividing: everything falls back) and 4.
 func TestExportIdenticalAcrossShards(t *testing.T) {
 	ids := []string{"wide", "abl-scaling"}
 	base := shardExport(t, 1, ids...)

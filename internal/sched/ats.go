@@ -117,29 +117,24 @@ func (a *ATS) OnAbort(tid, stx, enemyTid, enemyStx, attempts int) AbortResult {
 	}
 }
 
-// OnCommit implements Manager.
+// OnCommit implements Manager. A committing token holder hands the token
+// to the next queued thread and wakes it.
 func (a *ATS) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	a.pressure.onCommit(stx)
 	if a.gate != nil {
 		a.gate.observe(stx, a.pressure.value(stx))
 	}
+	if a.tokenOwner == tid {
+		if len(a.queue) == 0 {
+			a.tokenOwner = -1
+		} else {
+			next := a.queue[0]
+			a.queue = a.queue[1:]
+			a.tokenOwner = next
+			a.env.Wake(next)
+		}
+	}
 	return 15
-}
-
-// OnTxEnded implements Manager: a committed token holder hands the token
-// to the next queued thread and wakes it.
-func (a *ATS) OnTxEnded(tid, stx int, committed bool) {
-	if !committed || a.tokenOwner != tid {
-		return
-	}
-	if len(a.queue) == 0 {
-		a.tokenOwner = -1
-		return
-	}
-	next := a.queue[0]
-	a.queue = a.queue[1:]
-	a.tokenOwner = next
-	a.env.Wake(next)
 }
 
 // QueueLen exposes the central queue depth (for tests and diagnostics).

@@ -46,6 +46,3 @@ func (b *Backoff) OnAbort(tid, stx, enemyTid, enemyStx, attempts int) AbortResul
 func (b *Backoff) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	return 0
 }
-
-// OnTxEnded implements Manager.
-func (b *Backoff) OnTxEnded(tid, stx int, committed bool) {}

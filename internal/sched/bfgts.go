@@ -297,9 +297,6 @@ func (b *BFGTS) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	return b.rt.CommitTx(self, lines, writes, size).Cycles
 }
 
-// OnTxEnded implements Manager.
-func (b *BFGTS) OnTxEnded(tid, stx int, committed bool) {}
-
 // MeanConfidence implements ConfidenceReporter: the mean of the learned
 // confidence table, polled by the time-series sampler.
 func (b *BFGTS) MeanConfidence() float64 { return b.rt.MeanConf() }

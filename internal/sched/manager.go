@@ -94,10 +94,6 @@ type Manager interface {
 	// valid only for the duration of the call — managers must copy what
 	// they keep. It returns the bookkeeping cost in cycles.
 	OnCommit(tid, stx int, lines, writes []uint64, size int) int64
-
-	// OnTxEnded is called when the dynamic transaction fully ends
-	// (committed, or rolled back and about to retry).
-	OnTxEnded(tid, stx int, committed bool)
 }
 
 // Env is the runner-provided environment managers operate in.
@@ -118,8 +114,8 @@ type Env struct {
 	// managers that keep a software CPU table (PTS, BFGTS-SW and
 	// BFGTS-NoOverhead) back to the literal linear begin-time walk. The
 	// directory is a host-side indexing strategy with byte-identical
-	// results, so this exists for the differential tests and as an
-	// escape hatch, not as a modeled-machine knob.
+	// results, so this exists for the differential tests, not as a
+	// modeled-machine knob.
 	LinearScan bool
 	// Retired, when non-nil, lends the constructors the managers earlier
 	// runs in the same domain left behind: a constructor takes the one of

@@ -377,6 +377,3 @@ func (p *PTS) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	p.spare, p.sigs[self] = p.sigs[self], sig
 	return cost
 }
-
-// OnTxEnded implements Manager.
-func (p *PTS) OnTxEnded(tid, stx int, committed bool) {}

@@ -85,9 +85,6 @@ func (p *Polite) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 
 	return 0
 }
 
-// OnTxEnded implements Manager.
-func (p *Polite) OnTxEnded(tid, stx int, committed bool) {}
-
 // Karma is the work-invested reactive manager.
 type Karma struct {
 	env       Env
@@ -138,9 +135,6 @@ func (k *Karma) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	return 0
 }
 
-// OnTxEnded implements Manager.
-func (k *Karma) OnTxEnded(tid, stx int, committed bool) {}
-
 // TimestampCM is the age-based reactive manager: the oldest transaction in
 // any conflict is infinitely patient, so it always eventually wins — a
 // livelock-freedom guarantee none of the windowed policies give.
@@ -188,6 +182,3 @@ func (t *TimestampCM) OnAbort(tid, stx, enemyTid, enemyStx, attempts int) AbortR
 func (t *TimestampCM) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	return 0
 }
-
-// OnTxEnded implements Manager.
-func (t *TimestampCM) OnTxEnded(tid, stx int, committed bool) {}

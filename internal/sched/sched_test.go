@@ -97,7 +97,6 @@ func TestATSHighPressureSerializes(t *testing.T) {
 	}
 	// Token holder commits: head of queue is woken and proceeds.
 	a.OnCommit(3, 0, nil, nil, 1)
-	a.OnTxEnded(3, 0, true)
 	if len(*woken) != 1 || (*woken)[0] != 4 {
 		t.Fatalf("woken = %v, want [4]", *woken)
 	}
@@ -111,8 +110,7 @@ func TestATSTokenKeptAcrossAbortRetry(t *testing.T) {
 	a := NewATS(env)
 	raiseATSPressure(a, 0)
 	a.OnBegin(3, 0)          // takes token
-	a.OnAbort(3, 0, 1, 0, 1) // aborts
-	a.OnTxEnded(3, 0, false) // retry pending
+	a.OnAbort(3, 0, 1, 0, 1) // aborts; the retry is pending
 	if r := a.OnBegin(3, 0); r.Action != Proceed {
 		t.Fatalf("retry of token holder = %+v, want Proceed", r)
 	}

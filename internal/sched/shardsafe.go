@@ -5,8 +5,7 @@ package sched
 // static transaction of a single shard's threads, and it never draws from
 // the shared Env.Rand (whose draw order depends on the cross-shard
 // interleaving). A manager without the marker still works at any shard
-// count — the simulator falls back to the entangled shared-clock mode,
-// which reproduces the shared Rand's draw order exactly.
+// count — the simulator falls back to the sequential engine.
 type ShardSafe interface {
 	// ShardSafe is a marker method; implementations are empty.
 	ShardSafe()
@@ -87,6 +86,3 @@ func (m *PerThreadBackoff) OnAbort(tid, stx, enemyTid, enemyStx, attempts int) A
 func (m *PerThreadBackoff) OnCommit(tid, stx int, lines, writes []uint64, size int) int64 {
 	return 0
 }
-
-// OnTxEnded implements Manager.
-func (m *PerThreadBackoff) OnTxEnded(tid, stx int, committed bool) {}

@@ -10,12 +10,20 @@ import (
 	"repro/internal/workload"
 )
 
+// runPath runs cfg horizon-batched, or on the legacy one-event-per-access
+// path when noBatch is set.
+func runPath(cfg RunConfig, noBatch bool) *Result {
+	r := NewRunner(cfg)
+	r.noBatch = noBatch
+	return r.Run()
+}
+
 // runBatchPair runs the same configuration twice — horizon-batched and
 // legacy one-event-per-access — and returns both results.
 func runBatchPair(t *testing.T, w workload.Workload, mgr string, cores, tpc int, seed uint64, profile bool) (batched, legacy *Result) {
 	t.Helper()
 	run := func(noBatch bool) *Result {
-		res := NewRunner(RunConfig{
+		res := runPath(RunConfig{
 			Cores:             cores,
 			ThreadsPerCore:    tpc,
 			Seed:              seed,
@@ -23,8 +31,7 @@ func runBatchPair(t *testing.T, w workload.Workload, mgr string, cores, tpc int,
 			NewManager:        managerFactory(mgr),
 			ProfileSimilarity: profile,
 			MaxCycles:         2_000_000_000,
-			NoBatch:           noBatch,
-		}).Run()
+		}, noBatch)
 		if res.TimedOut {
 			t.Fatalf("%s on %s timed out (noBatch=%v)", mgr, w.Name(), noBatch)
 		}
@@ -95,7 +102,7 @@ func TestSamplerUnderBatching(t *testing.T) {
 		w := newSynth("sampled", 2, 30, 6)
 		w.pick = func(tid, i int, rng *workload.RNG) int { return rng.Intn(8) }
 		w.stxOf = func(tid, i int) int { return i % 2 }
-		res := NewRunner(RunConfig{
+		res := runPath(RunConfig{
 			Cores:          4,
 			ThreadsPerCore: 2,
 			Seed:           42,
@@ -104,8 +111,7 @@ func TestSamplerUnderBatching(t *testing.T) {
 			MaxCycles:      2_000_000_000,
 			Metrics:        metrics.New(),
 			SampleInterval: 5_000, // short period: many chances to collide with a batch
-			NoBatch:        noBatch,
-		}).Run()
+		}, noBatch)
 		if res.TimedOut {
 			t.Fatalf("sampled run timed out (noBatch=%v)", noBatch)
 		}

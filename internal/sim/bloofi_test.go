@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -18,20 +19,32 @@ func dirManagers() []string {
 	return []string{"pts", "bfgts-sw", "bfgts-no"}
 }
 
+// linearScan wraps a manager factory so the manager walks the CPU table
+// linearly at begin instead of probing the signature directory.
+func linearScan(newMgr func(sched.Env) sched.Manager) func(sched.Env) sched.Manager {
+	return func(env sched.Env) sched.Manager {
+		env.LinearScan = true
+		return newMgr(env)
+	}
+}
+
 // runBloofiPair runs the same configuration twice — directory-backed and
 // linear-scan begin probes — and returns both results.
 func runBloofiPair(t *testing.T, w workload.Workload, mgr string, cores, tpc int, seed uint64, profile bool) (dir, linear *Result) {
 	t.Helper()
 	run := func(noBloofi bool) *Result {
+		newMgr := managerFactory(mgr)
+		if noBloofi {
+			newMgr = linearScan(newMgr)
+		}
 		res := NewRunner(RunConfig{
 			Cores:             cores,
 			ThreadsPerCore:    tpc,
 			Seed:              seed,
 			Workload:          w,
-			NewManager:        managerFactory(mgr),
+			NewManager:        newMgr,
 			ProfileSimilarity: profile,
 			MaxCycles:         2_000_000_000,
-			NoBloofi:          noBloofi,
 		}).Run()
 		if res.TimedOut {
 			t.Fatalf("%s on %s timed out (noBloofi=%v)", mgr, w.Name(), noBloofi)

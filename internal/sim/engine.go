@@ -20,21 +20,14 @@ package sim
 type Handle int32
 
 // Engine is a discrete-event scheduler. Events fire in (time, insertion
-// sequence) order, which makes simulations deterministic.
-//
-// An engine normally owns its clock and sequence counter. Sharded
-// simulations (see shard.go) build one engine per shard over a *shared*
-// clock and sequence counter: the union of the shard heaps then behaves
-// exactly like one big heap — pops take the global (time, seq) minimum,
-// pushes stamp globally unique seq values in execution order — which is
-// what makes the sharded run byte-identical to the sequential one.
+// sequence) order, which makes simulations deterministic. Every engine owns
+// its clock and sequence counter: a sequential run has one engine, and each
+// lane of a partitioned sharded run (shard.go) has its own, kept in step by
+// the shard barrier. A sharded run that cannot partition falls back to the
+// sequential engine.
 type Engine struct {
-	// now and seq point at ownNow/ownSeq for a standalone engine, or at
-	// the shard set's shared clock and push counter for a lane engine.
-	now    *int64
-	seq    *uint64
-	ownNow int64
-	ownSeq uint64
+	now    int64
+	seq    uint64
 	events eventHeap
 
 	// handlers holds the registered funcs (they live until reset).
@@ -48,32 +41,21 @@ type Engine struct {
 
 // NewEngine returns an engine at time zero with no pending events.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.reset(nil, nil)
-	return e
+	return &Engine{}
 }
 
 // reset returns the engine to time zero with no pending events and no
 // registered handlers, keeping the heap's and the handler table's storage
-// and the dispatcher for the next simulation. A nil clock makes it
-// self-clocked; a lane engine of a sharded simulation gets the clock and
-// push counter it shares with the other lanes. Step still moves the clock,
-// but every lane sees the move immediately, so cross-lane scheduling
-// ("wake thread 12 one cycle from now") lands at the right absolute time
-// even when the target lane has not fired an event for a while.
-func (e *Engine) reset(clock *int64, seq *uint64) {
-	e.ownNow, e.ownSeq = 0, 0
-	if clock == nil {
-		clock, seq = &e.ownNow, &e.ownSeq
-	}
-	e.now, e.seq = clock, seq
+// and the dispatcher for the next simulation.
+func (e *Engine) reset() {
+	e.now, e.seq = 0, 0
 	e.events.ev = e.events.ev[:0]
 	clear(e.handlers)
 	e.handlers = e.handlers[:0]
 }
 
 // Now returns the current simulated time in cycles.
-func (e *Engine) Now() int64 { return *e.now }
+func (e *Engine) Now() int64 { return e.now }
 
 // NoPending is the PeekTime sentinel when no events are scheduled: any
 // finite event time compares strictly below it.
@@ -97,21 +79,6 @@ func (e *Engine) PeekTime() int64 {
 	return e.events.ev[0].time
 }
 
-// PeekKey returns the full (time, seq) ordering key of the next pending
-// event, or ok=false when the heap is empty. The sharded driver uses it
-// to pick the globally minimal event across lane heaps: because all lanes
-// share one seq counter, comparing (time, seq) pairs across heaps yields
-// exactly the order a single merged heap would produce.
-//
-//bfgts:allocfree
-func (e *Engine) PeekKey() (t int64, seq uint64, ok bool) {
-	if len(e.events.ev) == 0 {
-		return 0, 0, false
-	}
-	head := &e.events.ev[0]
-	return head.time, head.seq, true
-}
-
 // Register adds a long-lived handler and returns its Handle for AtHandle /
 // AfterHandle scheduling. Handlers live until the engine is reset;
 // register once per continuation, not per event.
@@ -132,18 +99,18 @@ const (
 //
 //bfgts:allocfree
 func (e *Engine) AtHandle(t int64, h Handle) {
-	if t < *e.now {
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: int32(h), kind: evHandler})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, h: int32(h), kind: evHandler})
 }
 
 // AfterHandle schedules a registered handler d cycles from now.
 //
 //bfgts:allocfree
 func (e *Engine) AfterHandle(d int64, h Handle) {
-	e.AtHandle(*e.now+d, h)
+	e.AtHandle(e.now+d, h)
 }
 
 // atOp schedules the dispatcher to run (target, op, arg) at absolute time
@@ -151,18 +118,18 @@ func (e *Engine) AfterHandle(d int64, h Handle) {
 //
 //bfgts:allocfree
 func (e *Engine) atOp(t int64, target int32, op uint8, arg uint64) {
-	if t < *e.now {
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, arg: arg, h: target, kind: evOp, op: op})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, arg: arg, h: target, kind: evOp, op: op})
 }
 
 // afterOp schedules (target, op, arg) d cycles from now.
 //
 //bfgts:allocfree
 func (e *Engine) afterOp(d int64, target int32, op uint8, arg uint64) {
-	e.atOp(*e.now+d, target, op, arg)
+	e.atOp(e.now+d, target, op, arg)
 }
 
 // Step fires the next event, if any, advancing time to it. It reports
@@ -174,7 +141,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.events.pop()
-	*e.now = ev.time
+	e.now = ev.time
 	if ev.kind == evHandler {
 		e.handlers[ev.h]()
 	} else {

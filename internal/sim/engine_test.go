@@ -210,7 +210,7 @@ func TestEngineResetKeepsNothingPending(t *testing.T) {
 	after(e, 10, func() {})
 	after(e, 20, func() {})
 	e.Step()
-	e.reset(nil, nil)
+	e.reset()
 	if e.Now() != 0 || len(e.events.ev) != 0 || len(e.handlers) != 0 {
 		t.Fatalf("after reset: now %d, pending %d, handlers %d", e.Now(), len(e.events.ev), len(e.handlers))
 	}

@@ -82,41 +82,15 @@ type RunConfig struct {
 	// DefaultSampleInterval. Only active when Metrics is set.
 	SampleInterval int64
 
-	// NoBatch disables horizon-batched execution and takes the legacy
-	// one-event-per-access path. Results are cycle-identical either way
-	// (the differential tests pin this); the flag exists so the two paths
-	// can be cross-checked and regressions bisected.
-	NoBatch bool
-
-	// NoBloofi disables the Bloofi signature directory and forces the
-	// software begin-time scans (PTS, BFGTS-SW, BFGTS-NoOverhead) back to
-	// the literal linear CPU-table walk. Like NoBatch, results are
-	// byte-identical either way (pinned by the bloofi differential test);
-	// the flag exists for cross-checking and bisection.
-	NoBloofi bool
-
 	// Shards splits the single simulation into per-shard engine/machine
-	// lanes, each owning a contiguous core range, executed under the
-	// conservative-PDES protocol in shard.go. Output is byte-identical to
-	// Shards == 1 at any shard count (pinned by the sharded differential
-	// tests and the check.sh cmp gate). Zero or one means unsharded.
-	//
-	// Two execution modes exist behind this knob (shard.go): entangled
-	// lanes (any workload/manager; lanes share one clock and sequence
-	// source and a single driver executes the global-minimum event, so the
-	// run is identical to the single-heap run by construction) and fully
-	// partitioned lanes (workloads implementing workload.Sharder under a
-	// sched.ShardSafe manager; lanes free-run concurrently under a
-	// lookahead barrier, exchanging timestamped cross-shard probe
-	// messages).
+	// lanes, each owning a contiguous core range, executed concurrently
+	// under the conservative-PDES protocol in shard.go. That needs a
+	// workload implementing workload.Sharder under a sched.ShardSafe
+	// manager; any other configuration falls back to the sequential engine.
+	// Output is byte-identical to Shards == 1 at any shard count (pinned by
+	// the sharded differential tests and the check.sh cmp gate). Zero or one
+	// means unsharded.
 	Shards int
-
-	// ShardLookahead bounds the simulated-clock skew between partitioned
-	// lanes, in cycles: a lane may run ahead of the slowest other lane's
-	// published horizon by at most this much before it must wait at the
-	// shard barrier. Zero means DefaultShardLookahead. Ignored outside
-	// partitioned mode.
-	ShardLookahead int64
 
 	// Decisions, if non-nil, receives one record per scheduling decision
 	// (serialize-vs-proceed at begin, stall on NACK) into the per-thread
@@ -243,9 +217,9 @@ type threadCtx struct {
 	prog workload.Program
 
 	// lane is the engine/machine shard this thread runs on; dom is the
-	// conflict-detection/scheduling domain it belongs to. Unsharded and
-	// entangled runs have a single domain shared by every lane;
-	// partitioned runs pair lane i with domain i.
+	// conflict-detection/scheduling domain it belongs to. A sequential run
+	// has one lane and one domain; partitioned runs pair lane i with
+	// domain i.
 	lane *laneState
 	dom  *domainState
 
@@ -477,17 +451,12 @@ func (s *ctxScratch) putExactSet(set *bloom.ExactSet) {
 }
 
 // runMode selects how the lanes execute (see shard.go for the sharded
-// drivers and the protocol description).
+// driver and the protocol description).
 type runMode int
 
 const (
 	// modeSeq is the classic single-lane, single-domain run.
 	modeSeq runMode = iota
-	// modeEntangled runs per-shard engines and machines over one shared
-	// clock, sequence source and domain; a single driver executes the
-	// globally minimal (time, seq) event across lane heaps, which is
-	// byte-identical to the single-heap run by construction.
-	modeEntangled
 	// modePartitioned runs per-shard engines, machines AND domains (line
 	// directory, manager, waiter queues, accumulators) on concurrent
 	// goroutines under the conservative lookahead barrier.
@@ -516,15 +485,15 @@ type laneState struct {
 	dom *domainState // the domain this lane's threads belong to
 
 	// shard is the partitioned-mode coupling (barrier slot, probe rings,
-	// message counters); nil in sequential and entangled runs.
+	// message counters); nil in a sequential run.
 	shard *laneShard
 }
 
 // domainState is one conflict-detection and scheduling domain: the line
 // directory, the contention manager and its CPU table, the waiter queues,
-// and every accumulator that feeds the Result. Unsharded and entangled
-// runs have exactly one domain; partitioned runs give each lane its own
-// and merge them deterministically afterwards.
+// and every accumulator that feeds the Result. A sequential run has exactly
+// one domain; partitioned runs give each lane its own and merge them
+// deterministically afterwards.
 type domainState struct {
 	sys *tm.System
 	mgr sched.Manager
@@ -544,8 +513,8 @@ type domainState struct {
 
 	// beginCalls counts OnBegin consultations across the domain's threads
 	// in engine order — the coordinate system of RunConfig.FlipBegin and
-	// of every begin record's BeginIndex (both only used in single-domain
-	// modes, where it matches the historical global counter exactly).
+	// of every begin record's BeginIndex (both only used in sequential
+	// runs, where it matches the historical global counter exactly).
 	beginCalls int64
 
 	// Prediction-quality accounting and the time-series sampler (only
@@ -588,22 +557,14 @@ type Runner struct {
 	cfg  RunConfig
 	mode runMode
 
-	// clock and seqSrc back the shared (time, seq) coordinate system of
-	// entangled lanes (engine.go); unused pointers otherwise.
-	clock  int64
-	seqSrc uint64
-
 	lanes []*laneState
 	doms  []*domainState
 	ctxs  []threadCtx
 
-	// active is the lane currently executing an event. Sequential and
-	// entangled drivers maintain it (exactly one event runs at a time);
-	// partitioned lanes never read it — their domains are lane-local, so
-	// every hook resolves its time source through the victim's own lane.
-	active *laneState
-
-	noBatch bool // mirrors cfg.NoBatch
+	// noBatch takes the per-event path for every access and compute chunk
+	// instead of horizon batching. Results are identical either way; the
+	// batch differentials set it between NewRunner and Run.
+	noBatch bool
 
 	// Time-series sampler: a registered handle rescheduling itself.
 	sampleEvery int64
@@ -669,16 +630,17 @@ func NewRunner(cfg RunConfig) *Runner {
 	if r == nil {
 		r = newShell()
 	}
-	r.cfg, r.noBatch = cfg, cfg.NoBatch
-	r.clock, r.seqSrc, r.active = 0, 0, nil
-	r.mode = r.chooseMode()
+	r.cfg, r.noBatch = cfg, false
+	r.mode = modeSeq
+	if cfg.Shards > 1 && r.partitionable() {
+		r.mode = modePartitioned
+	}
 
-	// Lanes: per-shard engines and machines over contiguous core ranges.
-	// Sequential keeps one self-clocked engine; entangled lanes share the
-	// runner's clock and sequence source; partitioned lanes are fully
-	// self-clocked (their skew is bounded by the shard barrier instead).
+	// Lanes: per-shard engines and machines over contiguous core ranges,
+	// each self-clocked (partitioned lanes' skew is bounded by the shard
+	// barrier).
 	nLanes := 1
-	if r.mode != modeSeq {
+	if r.mode == modePartitioned {
 		nLanes = cfg.Shards
 	}
 	r.lanes = recycle(r.lanes, nLanes)
@@ -689,22 +651,14 @@ func NewRunner(cfg RunConfig) *Runner {
 		if eng == nil {
 			eng, mac = &Engine{dispatch: r.step}, &Machine{OnDispatch: r.dispatched}
 		}
-		if r.mode == modeEntangled {
-			eng.reset(&r.clock, &r.seqSrc)
-		} else {
-			eng.reset(nil, nil)
-		}
+		eng.reset()
 		mac.reset(eng, hi-lo, cfg.OSCosts)
 		*ln = laneState{idx: i, coreBase: lo, eng: eng, mac: mac}
 	}
 
-	// Domains: one shared domain unless partitioned.
-	nDoms := 1
-	if r.mode == modePartitioned {
-		nDoms = nLanes
-	}
-	r.doms = recycle(r.doms, nDoms)
-	for _, dom := range r.doms {
+	// Domains: one per lane.
+	r.doms = recycle(r.doms, nLanes)
+	for i, dom := range r.doms {
 		if dom.sys == nil {
 			dom.sys = tm.NewSystem(nStatic)
 			dom.sys.OnDoom = r.onRemoteDoom
@@ -727,7 +681,7 @@ func NewRunner(cfg RunConfig) *Runner {
 			dom.cpuSlot[j] = core.NoTx
 		}
 		if cfg.Metrics != nil {
-			if nDoms == 1 {
+			if nLanes == 1 {
 				dom.reg = cfg.Metrics
 			} else {
 				// Partitioned domains record into private registries,
@@ -744,16 +698,10 @@ func NewRunner(cfg RunConfig) *Runner {
 			Wake:       r.wakeFn,
 			Rand:       dom.rng,
 			Metrics:    dom.reg,
-			LinearScan: cfg.NoBloofi,
 			Retired:    &dom.retired,
 		})
 		dom.bindInstruments()
-	}
-	for _, ln := range r.lanes {
-		ln.dom = r.doms[0]
-		if nDoms > 1 {
-			ln.dom = r.doms[ln.idx]
-		}
+		r.lanes[i].dom = dom
 	}
 
 	// Threads: the slab grows only when a run has more threads than any
@@ -826,20 +774,6 @@ func (r *Runner) release() {
 		}
 	}
 	shellPool.Put(r)
-}
-
-// chooseMode picks the execution mode for the configured shard count:
-// unsharded, entangled (the universal byte-identical mode), or partitioned
-// (the concurrent mode, when the workload and manager support it).
-func (r *Runner) chooseMode() runMode {
-	cfg := &r.cfg
-	if cfg.Shards <= 1 {
-		return modeSeq
-	}
-	if !r.partitionable() {
-		return modeEntangled
-	}
-	return modePartitioned
 }
 
 // laneOfCore maps an absolute CPU id to the lane owning it.
@@ -965,39 +899,17 @@ func (r *Runner) decOnCommit(ctx *threadCtx, tx *tm.Tx) {
 func (r *Runner) cpuOf(ctx *threadCtx) int { return ctx.lane.coreBase + ctx.th.Core }
 
 // nowFor is the current logical simulation time as observed by code acting
-// on ctx: the executing lane's engine clock, or — underneath a
-// horizon-batched access — that access's completion time, which the engine
-// has not caught up to yet. In sequential and entangled runs exactly one
-// lane executes at a time (Runner.active); in partitioned runs every hook
-// that lands on ctx runs on ctx's own lane goroutine, so the executing
-// lane is ctx.lane.
+// on ctx: its lane's engine clock, or — underneath a horizon-batched
+// access — that access's completion time, which the engine has not caught
+// up to yet. Every hook that lands on ctx runs on ctx's own lane: a
+// sequential run has one lane, and a partitioned lane's conflicts stay in
+// its own domain.
 func (r *Runner) nowFor(ctx *threadCtx) int64 {
-	ln := r.active
-	if r.mode == modePartitioned {
-		ln = ctx.lane
-	}
+	ln := ctx.lane
 	if ln.batchNow > 0 {
 		return ln.batchNow
 	}
 	return ln.eng.Now()
-}
-
-// horizon is the conservative lookahead bound for batched execution on a
-// lane: the earliest pending event that could interleave. With one lane
-// (or fully partitioned lanes, whose heaps are causally independent) that
-// is the lane's own PeekTime; entangled lanes share one logical heap, so
-// the horizon is the minimum over all of them.
-func (r *Runner) horizon(ln *laneState) int64 {
-	if r.mode != modeEntangled {
-		return ln.eng.PeekTime()
-	}
-	min := int64(NoPending)
-	for _, l := range r.lanes {
-		if t := l.eng.PeekTime(); t < min {
-			min = t
-		}
-	}
-	return min
 }
 
 // setSlot updates the CPU-table slot for a core and notifies the manager.
@@ -1064,8 +976,8 @@ func (r *Runner) fetchNext(ctx *threadCtx) {
 // batched path consumes consecutive chunks locally while their completion
 // times stay strictly below the engine's horizon and the quantum allows
 // it, re-entering the engine once with the accumulated time; the legacy
-// path (NoBatch) pays one event round-trip per chunk. Both charge the
-// same cycles at the same logical instants.
+// per-event path (Runner.noBatch) pays one event round-trip per chunk.
+// Both charge the same cycles at the same logical instants.
 func (r *Runner) runNonTx(ctx *threadCtx) {
 	if ctx.pendingPre <= 0 {
 		r.tryBegin(ctx)
@@ -1091,7 +1003,7 @@ func (r *Runner) runNonTx(ctx *threadCtx) {
 		t := local + chunk
 		ctx.pendingPre -= chunk
 		ctx.th.Charge(CatNonTx, chunk)
-		if t >= r.horizon(ctx.lane) || ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
+		if t >= eng.PeekTime() || ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
 			// Horizon or quantum boundary: re-enter the engine at this
 			// chunk's completion time and take the per-event path there
 			// (opNonTxStep redoes the preemption check at engine time
@@ -1390,10 +1302,10 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 			return
 		}
 		t := local + d
-		// The horizon is re-read each iteration: it is O(1) per lane and
-		// guards the (impossible today, cheap to insure against) case of
+		// The horizon is re-read each iteration: it is O(1) and guards
+		// the (impossible today, cheap to insure against) case of
 		// an in-batch call scheduling a new earlier event.
-		if t >= r.horizon(ctx.lane) {
+		if t >= eng.PeekTime() {
 			// This access's completion would not precede the next event:
 			// schedule it as a real event so anything landing at the same
 			// instant keeps its (time, seq) precedence, and let
@@ -1443,8 +1355,8 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 }
 
 // performAccess issues the access once its latency has been charged — the
-// per-event path, taken under NoBatch and whenever a batched access lands
-// on or past the horizon.
+// per-event path, taken under Runner.noBatch and whenever a batched access
+// lands on or past the horizon.
 func (r *Runner) performAccess(ctx *threadCtx) {
 	if ctx.tx.Doomed {
 		r.abortTx(ctx)
@@ -1548,9 +1460,8 @@ func (r *Runner) decSettleStall(ctx *threadCtx, o decision.Outcome) {
 }
 
 // onTxReleased wakes every thread stalled behind tx (line stalls retry the
-// access, begin spins retry the begin). Waiters are woken on their own
-// lane's engine; entangled lanes share the clock, so the +1 lands at the
-// same absolute instant regardless of which lane the committer ran on.
+// access, begin spins retry the begin). Waiters share the committer's
+// domain, and so its lane.
 func (r *Runner) onTxReleased(tx *tm.Tx) {
 	owner := &r.ctxs[tx.Thread]
 	for i, ctx := range owner.stallWaiters {
@@ -1636,7 +1547,6 @@ func (r *Runner) finishCommit(ctx *threadCtx) {
 	r.onTxReleased(tx)
 
 	overhead := dom.mgr.OnCommit(ctx.tid, ctx.desc.STx, ctx.linesBuf, ctx.writesBuf, size)
-	dom.mgr.OnTxEnded(ctx.tid, ctx.desc.STx, true)
 	if ctx.desc.OnCommit != nil {
 		ctx.desc.OnCommit()
 	}
@@ -1722,7 +1632,6 @@ func (r *Runner) finishAbort(ctx *threadCtx) {
 	r.onTxReleased(tx)
 
 	ab := dom.mgr.OnAbort(ctx.tid, ctx.desc.STx, tx.DoomedByTid, tx.DoomedByStx, ctx.attempts)
-	dom.mgr.OnTxEnded(ctx.tid, ctx.desc.STx, false)
 	ctx.th.Charge(CatScheduling, ab.Overhead)
 	ctx.th.Charge(CatAbort, ab.Backoff)
 	ctx.after(ab.Overhead+ab.Backoff, opPostAbort, 0)
@@ -1741,7 +1650,7 @@ func (r *Runner) liveThreads() int {
 // registered handle. Sampling only reads manager and TM state, so
 // it cannot perturb the simulated schedule: a run with metrics enabled
 // takes the same cycle-level path as one without. The sampler only runs
-// in single-domain modes (it reads global manager/TM state), on lane 0's
+// in sequential runs (it reads global manager/TM state), on the one lane's
 // engine.
 func (r *Runner) sample() {
 	if r.liveThreads() == 0 {
@@ -1778,12 +1687,9 @@ func (r *Runner) Run() *Result {
 		r.sampleH = r.lanes[0].eng.Register(r.sample)
 		r.lanes[0].eng.AfterHandle(interval, r.sampleH)
 	}
-	switch r.mode {
-	case modeSeq:
+	if r.mode == modeSeq {
 		r.runSequential()
-	case modeEntangled:
-		r.runEntangled()
-	default:
+	} else {
 		r.runPartitioned()
 	}
 	return r.buildResult()
@@ -1792,7 +1698,6 @@ func (r *Runner) Run() *Result {
 // runSequential is the classic single-lane driver.
 func (r *Runner) runSequential() {
 	ln := r.lanes[0]
-	r.active = ln
 	ln.mac.Start()
 	ln.eng.Run(func() bool {
 		if r.cfg.MaxCycles > 0 && ln.eng.Now() > r.cfg.MaxCycles {

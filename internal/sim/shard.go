@@ -3,43 +3,33 @@ package sim
 // Sharded execution: one simulation split into per-shard lanes under the
 // conservative-PDES (Chandy-Misra-Bryant style) protocol.
 //
-// Two modes implement RunConfig.Shards > 1:
+// RunConfig.Shards > 1 runs partitioned lanes when the workload declares a
+// shard partition (workload.Sharder) and the manager is shard-safe
+// (sched.ShardSafe); any other configuration falls back to the sequential
+// engine, whose output every sharded run must equal.
 //
-//   - Entangled lanes. Every lane gets its own event heap and machine
-//     slice, but all heaps share one clock and one sequence counter
-//     (Engine.reset), and a single driver goroutine repeatedly
-//     executes the globally minimal (time, seq) event across the heaps
-//     (Engine.PeekKey). Because (time, seq) is a total order and seq values
-//     are stamped from the shared counter in push order, the pop sequence
-//     is *exactly* the one a single merged heap would produce — the run is
-//     byte-identical to the sequential one by construction, for any
-//     workload, manager, tracer or decision recorder. This is the mode
-//     behind the blanket "-shards N output ≡ -shards 1" contract.
+// Each partitioned lane gets its own event engine, slice of the machine and
+// conflict-detection domain (line directory, manager, waiter queues,
+// accumulators) and free-runs on its own goroutine. Lanes synchronize
+// through a ShardBarrier: each publishes the time of its next pending event
+// (its PeekTime horizon — the conservative null message) and may execute an
+// event at time t only while t does not exceed the minimum of the other
+// lanes' published horizons by more than DefaultShardLookahead. The minimum
+// lane can always proceed, so the protocol is deadlock-free; horizons are
+// monotone, so each lane caches the last minimum it read and only re-reads
+// the barrier when its next event would outrun the cache — the hot path is
+// one comparison, no atomics.
 //
-//   - Partitioned lanes. When the workload declares a shard partition
-//     (workload.Sharder) and the manager is shard-safe (sched.ShardSafe),
-//     each lane additionally gets its own conflict-detection domain (line
-//     directory, manager, waiter queues, accumulators) and free-runs on its
-//     own goroutine. Lanes synchronize through a ShardBarrier: each
-//     publishes the time of its next pending event (its PeekTime horizon —
-//     the conservative null message) and may execute an event at time t
-//     only while t does not exceed the minimum of the other lanes'
-//     published horizons by more than the lookahead window. The minimum
-//     lane can always proceed, so the protocol is deadlock-free; horizons
-//     are monotone, so each lane caches the last minimum it read and only
-//     re-reads the barrier when its next event would outrun the cache —
-//     the hot path is one comparison, no atomics.
-//
-//     Cross-shard reads of the workload's shared region become timestamped
-//     probe messages on single-producer/single-consumer rings, drained and
-//     validated deterministically (sorted by (time, tid)) against the
-//     owning shard's line directory at horizon boundaries. The partition
-//     contract (shard-private data never crosses lanes, the shared region
-//     is read-only) makes every probe conflict-free, which is what lets
-//     the lanes' event streams stay exactly equal to the sequential run's
-//     lane-restricted subsequences — and therefore lets the merged result
-//     stay identical (integer-exact everywhere; see
-//     Result.AttemptsPerCommit for the one float-summary caveat).
+// Cross-shard reads of the workload's shared region become timestamped
+// probe messages on single-producer/single-consumer rings, drained and
+// validated deterministically (sorted by (time, tid)) against the owning
+// shard's line directory at horizon boundaries. The partition contract
+// (shard-private data never crosses lanes, the shared region is read-only)
+// makes every probe conflict-free, which is what lets the lanes' event
+// streams stay exactly equal to the sequential run's lane-restricted
+// subsequences — and therefore lets the merged result stay identical
+// (integer-exact everywhere; see Result.AttemptsPerCommit for the one
+// float-summary caveat).
 
 import (
 	"fmt"
@@ -152,16 +142,12 @@ type barSlot struct {
 // lanes: a lock-free exchange of per-lane PeekTime horizons (the null
 // messages of classic conservative PDES, made cheap by shared memory).
 type ShardBarrier struct {
-	slots     []barSlot
-	done      atomic.Int32
-	lookahead int64
+	slots []barSlot
+	done  atomic.Int32
 }
 
-func newShardBarrier(n int, lookahead int64) *ShardBarrier {
-	if lookahead <= 0 {
-		lookahead = DefaultShardLookahead
-	}
-	return &ShardBarrier{slots: make([]barSlot, n), lookahead: lookahead}
+func newShardBarrier(n int) *ShardBarrier {
+	return &ShardBarrier{slots: make([]barSlot, n)}
 }
 
 // Publish announces lane i's next-event time (its horizon: no event below
@@ -205,12 +191,11 @@ type stallPoint struct {
 }
 
 // laneShard is a lane's partitioned-mode coupling: its barrier slot, its
-// probe rings, and the shard-layer instrumentation. Sequential and
-// entangled lanes have none (laneState.shard == nil).
+// probe rings, and the shard-layer instrumentation. A sequential lane has
+// none (laneState.shard == nil).
 type laneShard struct {
 	idx        int
 	bar        *ShardBarrier
-	lookahead  int64
 	sharedBase uint64
 	owner      func(addr uint64) int
 	dom        *domainState
@@ -221,7 +206,7 @@ type laneShard struct {
 	// cachedMin is the last MinOther this lane read. Horizons are
 	// monotone non-decreasing, so a stale cache is only ever conservative;
 	// the lane re-reads the barrier only when its next event would outrun
-	// cache + lookahead.
+	// cache + DefaultShardLookahead.
 	cachedMin int64
 
 	scratch []shardMsg // drained-but-unprocessed probes
@@ -316,17 +301,17 @@ func (sh *laneShard) processDrained() {
 }
 
 // waitHorizon is the slow path behind the lane loop's inline
-// `t-lookahead > cachedMin` check: publish our horizon (so the lanes we
-// are about to wait on can see our progress), re-read the others' minimum,
-// and spin with drains and yields until the event at t is covered. The
-// lane loop publishes lazily outside this path — a stale published horizon
-// only makes *other* lanes more conservative, never incorrect, and the
-// periodic drain block bounds the staleness.
+// `t-DefaultShardLookahead > cachedMin` check: publish our horizon (so the
+// lanes we are about to wait on can see our progress), re-read the others'
+// minimum, and spin with drains and yields until the event at t is
+// covered. The lane loop publishes lazily outside this path — a stale
+// published horizon only makes *other* lanes more conservative, never
+// incorrect, and the periodic drain block bounds the staleness.
 //
 //bfgts:allocfree
 func (sh *laneShard) waitHorizon(t int64) {
 	sh.bar.Publish(sh.idx, t)
-	la := sh.lookahead
+	const la = DefaultShardLookahead
 	sh.cachedMin = sh.bar.MinOther(sh.idx)
 	if t-la <= sh.cachedMin {
 		return
@@ -380,8 +365,8 @@ func (sh *laneShard) inboundEmpty() bool {
 // state, no draws from the shared Env.Rand), cores must split evenly, and
 // the global observers whose output depends on cross-lane interleaving
 // (trace, decision records, similarity profiling, FlipBegin's global begin
-// numbering) must be off. Everything else falls back to entangled lanes,
-// which support all of it byte-identically.
+// numbering) must be off. Everything else falls back to the sequential
+// engine.
 func (r *Runner) partitionable() bool {
 	cfg := &r.cfg
 	if cfg.Trace != nil || cfg.Decisions != nil || cfg.ProfileSimilarity || cfg.FlipBegin != 0 {
@@ -406,7 +391,6 @@ func (r *Runner) partitionable() bool {
 		CPUOf:      func(tid int) int { return tid % cfg.Cores },
 		Wake:       func(int) {},
 		Rand:       rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x5bf0f7c9)),
-		LinearScan: cfg.NoBloofi,
 	})
 	_, safe := probe.(sched.ShardSafe)
 	return safe
@@ -417,7 +401,7 @@ func (r *Runner) partitionable() bool {
 func (r *Runner) setupShards() {
 	n := len(r.lanes)
 	plan, _ := r.cfg.Workload.(workload.Sharder).ShardPlan(n, r.cfg.Cores, r.cfg.ThreadsPerCore)
-	bar := newShardBarrier(n, r.cfg.ShardLookahead)
+	bar := newShardBarrier(n)
 	rings := make([][]*shardRing, n)
 	for i := range rings {
 		rings[i] = make([]*shardRing, n)
@@ -441,7 +425,6 @@ func (r *Runner) setupShards() {
 		sh := &laneShard{
 			idx:        ln.idx,
 			bar:        bar,
-			lookahead:  bar.lookahead,
 			sharedBase: sharedBase,
 			owner:      plan.OwnerShard,
 			dom:        ln.dom,
@@ -455,43 +438,6 @@ func (r *Runner) setupShards() {
 			sh.in[j] = rings[j][ln.idx]
 		}
 		ln.shard = sh
-	}
-}
-
-// runEntangled is the shared-clock driver: all lanes' machines start (in
-// lane order, so initial dispatches stamp the same sequence numbers the
-// sequential run would), then the globally minimal (time, seq) event is
-// executed until every thread has exited.
-func (r *Runner) runEntangled() {
-	for _, ln := range r.lanes {
-		r.active = ln
-		ln.mac.Start()
-	}
-	for {
-		var best *laneState
-		var bt int64
-		var bs uint64
-		for _, ln := range r.lanes {
-			t, s, ok := ln.eng.PeekKey()
-			if !ok {
-				continue
-			}
-			if best == nil || t < bt || (t == bt && s < bs) {
-				best, bt, bs = ln, t, s
-			}
-		}
-		if best == nil {
-			return
-		}
-		r.active = best
-		best.eng.Step()
-		if r.cfg.MaxCycles > 0 && r.clock > r.cfg.MaxCycles {
-			best.timedOut = true
-			return
-		}
-		if r.liveThreads() == 0 {
-			return
-		}
 	}
 }
 
@@ -517,11 +463,11 @@ func (r *Runner) laneLoop(ln *laneState) {
 	ln.mac.Start()
 	sinceDrain := 0
 	for {
-		t, _, ok := ln.eng.PeekKey()
-		if !ok {
+		t := ln.eng.PeekTime()
+		if t == NoPending {
 			break
 		}
-		if t-sh.lookahead > sh.cachedMin {
+		if t-DefaultShardLookahead > sh.cachedMin {
 			sh.waitHorizon(t)
 		}
 		ln.eng.Step()

@@ -9,10 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/decision"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tm"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -29,15 +31,15 @@ func runWithShards(t *testing.T, cfg RunConfig) (*Result, runMode) {
 	return res, mode
 }
 
-// TestEntangledShardedMatchesSequential is the sharding differential for the
-// entangled shared-clock mode: over a randomized matrix of workload shapes,
-// managers, machine sizes, shard counts and seeds, the sharded run must
-// produce a Result deeply equal to the sequential run — makespan, counts,
-// breakdown, conflict matrix, latency histograms, attempt summaries, and the
-// full metrics snapshot (including the time-series sampler). Synthetic
-// workloads do not implement workload.Sharder, so Shards > 1 always takes
-// the entangled path here.
-func TestEntangledShardedMatchesSequential(t *testing.T) {
+// TestShardedFallbackMatchesSequential is the sharding differential for
+// configurations that cannot partition: over a randomized matrix of
+// workload shapes, managers, machine sizes, shard counts and seeds, the
+// sharded run must fall back to the sequential engine and produce a Result
+// deeply equal to the unsharded run — makespan, counts, breakdown, conflict
+// matrix, latency histograms, attempt summaries, and the full metrics
+// snapshot (including the time-series sampler). Synthetic workloads do not
+// implement workload.Sharder, so Shards > 1 always falls back here.
+func TestShardedFallbackMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	managers := allManagers()
 	for trial := 0; trial < 10; trial++ {
@@ -76,46 +78,16 @@ func TestEntangledShardedMatchesSequential(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial=%d mgr=%s cores=%d tpc=%d shards=%d seed=%d metrics=%v",
 			trial, mgr, cores, tpc, shards, seed, withMetrics)
-		seq, seqMode := run(1)
+		seq, _ := run(1)
 		shd, shdMode := run(shards)
-		if seqMode != modeSeq {
-			t.Fatalf("%s: sequential run took mode %d", name, seqMode)
-		}
-		if wantEnt := shards >= 2 && cores >= 2; wantEnt && shdMode != modeEntangled {
-			t.Fatalf("%s: sharded run took mode %d, want entangled", name, shdMode)
+		if shdMode != modeSeq {
+			t.Fatalf("%s: sharded run took mode %d, want the sequential fallback", name, shdMode)
 		}
 		if !reflect.DeepEqual(seq, shd) {
 			t.Errorf("%s: sharded Result differs\n seq:   makespan=%d commits=%d aborts=%d breakdown=%v\n shard: makespan=%d commits=%d aborts=%d breakdown=%v",
 				name,
 				seq.Makespan, seq.Commits, seq.Aborts, seq.Breakdown,
 				shd.Makespan, shd.Commits, shd.Aborts, shd.Breakdown)
-		}
-	}
-}
-
-// TestEntangledManyCores pins the entangled differential at a many-core
-// geometry (one lane per few cores) where lane heaps are nearly empty and
-// horizon batching does most of the work.
-func TestEntangledManyCores(t *testing.T) {
-	w := newSynth("shard-manycore", 2, 3, 4)
-	w.pick = func(tid, i int, rng *workload.RNG) int { return rng.Intn(512) }
-	w.stxOf = func(tid, i int) int { return i % 2 }
-	run := func(shards int) *Result {
-		res, _ := runWithShards(t, RunConfig{
-			Cores:          128,
-			ThreadsPerCore: 2,
-			Seed:           7,
-			Workload:       w,
-			NewManager:     managerFactory("bfgts-hw"),
-			MaxCycles:      2_000_000_000,
-			Shards:         shards,
-		})
-		return res
-	}
-	seq := run(1)
-	for _, shards := range []int{4, 16, 64} {
-		if shd := run(shards); !reflect.DeepEqual(seq, shd) {
-			t.Errorf("shards=%d diverged: makespan %d vs %d", shards, seq.Makespan, shd.Makespan)
 		}
 	}
 }
@@ -213,43 +185,62 @@ func TestPartitionedShardMetrics(t *testing.T) {
 // TestPartitionedFallbacks pins every eligibility edge of the partitioned
 // path: a non-shard-safe manager, a non-Sharder workload, a core count the
 // shard count does not divide, a partition the workload refuses (odd
-// cores-per-shard splits a wide pair), and a decision recorder all fall back
-// to the entangled mode.
+// cores-per-shard splits a wide pair), and the global observers (similarity
+// profiling, a decision recorder, a trace) all fall back to the sequential
+// engine, with a Result equal to the unsharded run's.
 func TestPartitionedFallbacks(t *testing.T) {
-	base := wideCfg(16, 2, 200, 4)
-
-	backoff := base
-	backoff.NewManager = managerFactory("backoff")
-	if r := NewRunner(backoff); r.mode != modeEntangled {
-		t.Errorf("shared-rand Backoff: mode %d, want entangled", r.mode)
+	if r := NewRunner(wideCfg(8, 2, 200, 2)); r.mode != modePartitioned {
+		t.Errorf("even pair split (4 cores per shard): mode %d, want partitioned", r.mode)
 	}
 
-	synth := base
-	synth.Workload = newSynth("notsharder", 1, 5, 3)
-	if r := NewRunner(synth); r.mode != modeEntangled {
-		t.Errorf("non-Sharder workload: mode %d, want entangled", r.mode)
+	cases := []struct {
+		name string
+		cfg  func() RunConfig
+	}{
+		{"shared-rand Backoff", func() RunConfig {
+			cfg := wideCfg(16, 2, 200, 4)
+			cfg.NewManager = managerFactory("backoff")
+			return cfg
+		}},
+		{"non-Sharder workload", func() RunConfig {
+			cfg := wideCfg(16, 2, 200, 4)
+			cfg.Workload = newSynth("notsharder", 1, 5, 3)
+			return cfg
+		}},
+		{"uneven core split", func() RunConfig { return wideCfg(16, 2, 200, 5) }},  // 16 % 5 != 0
+		{"odd cores-per-shard", func() RunConfig { return wideCfg(9, 2, 200, 3) }}, // splits pair (2,3)
+		// Global observers force the fallback even when the partition is
+		// valid: their output depends on the cross-lane interleaving.
+		{"similarity profiling", func() RunConfig {
+			cfg := wideCfg(16, 2, 200, 4)
+			cfg.ProfileSimilarity = true
+			return cfg
+		}},
+		{"decision recorder", func() RunConfig {
+			cfg := wideCfg(16, 2, 200, 4)
+			cfg.Decisions = decision.NewSet(32, 0)
+			return cfg
+		}},
+		{"trace", func() RunConfig {
+			cfg := wideCfg(16, 2, 200, 4)
+			cfg.Trace = &trace.Recorder{}
+			return cfg
+		}},
 	}
-
-	uneven := wideCfg(16, 2, 200, 5) // 16 % 5 != 0
-	if r := NewRunner(uneven); r.mode != modeEntangled {
-		t.Errorf("uneven core split: mode %d, want entangled", r.mode)
-	}
-
-	evenSplit := wideCfg(8, 2, 200, 2) // 4 cores per shard: pairs stay whole
-	if r := NewRunner(evenSplit); r.mode != modePartitioned {
-		t.Errorf("even pair split: mode %d, want partitioned", r.mode)
-	}
-	oddPerShard := wideCfg(9, 2, 200, 3) // 3 cores per shard splits pair (2,3)
-	if r := NewRunner(oddPerShard); r.mode != modeEntangled {
-		t.Errorf("odd cores-per-shard: mode %d, want entangled", r.mode)
-	}
-
-	// Global observers force the entangled path even when the partition is
-	// valid; their output depends on the cross-lane interleaving.
-	profiled := base
-	profiled.ProfileSimilarity = true
-	if r := NewRunner(profiled); r.mode != modeEntangled {
-		t.Errorf("similarity profiling: mode %d, want entangled", r.mode)
+	for _, c := range cases {
+		sharded := c.cfg()
+		r := NewRunner(sharded)
+		if r.mode != modeSeq {
+			t.Errorf("%s: mode %d, want the sequential fallback", c.name, r.mode)
+		}
+		shd := r.Run()
+		unsharded := c.cfg()
+		unsharded.Shards = 1
+		seq, _ := runWithShards(t, unsharded)
+		if !reflect.DeepEqual(seq, shd) {
+			t.Errorf("%s: Result differs from the unsharded run: makespan %d vs %d, commits %d vs %d",
+				c.name, seq.Makespan, shd.Makespan, seq.Commits, shd.Commits)
+		}
 	}
 }
 
@@ -258,7 +249,7 @@ func TestPartitionedFallbacks(t *testing.T) {
 // minimum, which must itself be monotone (horizons only move forward).
 func TestShardBarrierRace(t *testing.T) {
 	const lanes = 4
-	bar := newShardBarrier(lanes, 0)
+	bar := newShardBarrier(lanes)
 	var wg sync.WaitGroup
 	errs := make([]error, lanes)
 	for i := 0; i < lanes; i++ {
@@ -343,7 +334,7 @@ func TestPartitionedRaceStress(t *testing.T) {
 
 // TestShardHotPathAllocFree is the runtime allocation gate for the shard
 // hot paths (ring push/pop, barrier publish/min, probe send/drain/validate,
-// horizon wait, engine key peek); the //bfgts:allocfree directives on these
+// horizon wait); the //bfgts:allocfree directives on these
 // functions are cross-checked by TestAllocFreeMarkersMatchRuntimeGates.
 func TestShardHotPathAllocFree(t *testing.T) {
 	ring := newShardRing()
@@ -356,7 +347,7 @@ func TestShardHotPathAllocFree(t *testing.T) {
 		t.Errorf("ring push/pop allocates %v/op", a)
 	}
 
-	bar := newShardBarrier(3, 0)
+	bar := newShardBarrier(3)
 	if a := testing.AllocsPerRun(1000, func() {
 		bar.Publish(0, 5)
 		_ = bar.MinOther(0)
@@ -386,7 +377,7 @@ func TestShardHotPathAllocFree(t *testing.T) {
 	}
 
 	// Horizon wait, fast path (the other lane's horizon is +inf).
-	wbar := newShardBarrier(2, 0)
+	wbar := newShardBarrier(2)
 	wbar.Publish(0, NoPending)
 	shw := &laneShard{idx: 1, bar: wbar, in: []*shardRing{nil, nil}}
 	wt := int64(0)
@@ -395,13 +386,5 @@ func TestShardHotPathAllocFree(t *testing.T) {
 		shw.waitHorizon(wt)
 	}); a != 0 {
 		t.Errorf("waitHorizon fast path allocates %v/op", a)
-	}
-
-	eng := NewEngine()
-	at(eng, 1<<40, func() {})
-	if a := testing.AllocsPerRun(1000, func() {
-		_, _, _ = eng.PeekKey()
-	}); a != 0 {
-		t.Errorf("PeekKey allocates %v/op", a)
 	}
 }

@@ -211,14 +211,6 @@ func (s *System) decShard(worker int) *decision.Recorder {
 //bfgts:allocfree
 func (s *System) decNow() int64 { return int64(time.Since(s.epoch)) }
 
-// RunningDTx returns the dynamic transaction executing on a worker, or
-// core.NoTx — one atomic load, for managers scanning the CPU table.
-//
-//bfgts:allocfree
-func (s *System) RunningDTx(worker int) int {
-	return int(s.running[worker].Load())
-}
-
 // Similarity returns the similarity EWMA of a dynamic transaction under
 // the BFGTS manager, and 0 under managers that do not track it.
 func (s *System) Similarity(dtx int) float64 {

@@ -97,11 +97,6 @@ func (t *Tx) AppendLines(buf []uint64) []uint64 {
 	return buf
 }
 
-// WriteLines calls fn for every distinct line in the write set.
-func (t *Tx) WriteLines(fn func(addr uint64)) {
-	t.writes.each(fn)
-}
-
 // AppendWriteLines appends every written line to buf and returns it.
 func (t *Tx) AppendWriteLines(buf []uint64) []uint64 {
 	return t.writes.appendTo(buf)

@@ -25,8 +25,7 @@ type ShardPlan struct {
 //
 // ShardPlan reports ok=false when the requested geometry does not match
 // the workload (wrong core count, indivisible shard count, ...); the
-// simulator then falls back to the entangled shared-clock mode, which is
-// valid for every workload.
+// simulator then falls back to the sequential engine.
 type Sharder interface {
 	ShardPlan(shards, cores, threadsPerCore int) (ShardPlan, bool)
 }

@@ -88,7 +88,7 @@ func (w *Wide) NewProgram(tid, nThreads int, seed uint64) Program {
 // traffic spreads evenly across owners. Plans whose shards would split a
 // core pair (odd cores-per-shard at shards > 1) are refused — conflicts
 // cross core boundaries within a pair, so both cores must land in one
-// shard; the simulator falls back to the entangled shared-clock mode.
+// shard; the simulator falls back to the sequential engine.
 func (w *Wide) ShardPlan(shards, cores, threadsPerCore int) (ShardPlan, bool) {
 	if shards < 1 || cores != w.cores || threadsPerCore != w.tpc || cores%shards != 0 {
 		return ShardPlan{}, false

@@ -23,13 +23,13 @@ go build ./...
 # See internal/analysis/README.md for the contracts and //bfgts: directives.
 go build -o "$workdir/bfgtsvet" ./cmd/bfgtsvet
 go vet -vettool="$workdir/bfgtsvet" ./...
-# Concurrency lane: the partitioned-shard differentials and the AtomicTree
-# stress tests under the race detector — short mode, fresh run (-count=1 so
-# the cache never absorbs a flake), and a hard timeout, so a protocol
-# regression surfaces here in seconds even when the full suite below is
-# trimmed with -short.
+# Concurrency lane: the sharded differentials (the sequential fallback and
+# the partitioned lanes) and the AtomicTree stress tests under the race
+# detector — short mode, fresh run (-count=1 so the cache never absorbs a
+# flake), and a hard timeout, so a protocol regression surfaces here in
+# seconds even when the full suite below is trimmed with -short.
 go test -race -short -count=1 -timeout 300s \
-	-run 'TestEntangledShardedMatchesSequential|TestPartitionedWideMatchesSequential|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
+	-run 'TestShardedFallbackMatchesSequential|TestPartitionedWideMatchesSequential|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
 	./internal/sim/
 # Recycled runner shells and the managers retired in them: every manager
 # on every kernel and the wide machine (BFGTS-SW/HW at 512, 1024 and 8192
@@ -69,17 +69,10 @@ go test -race "$@" ./...
 tmp="$workdir/export.json"
 go run ./cmd/bfgts-sim -exp speedup -seed 1 -scale 0.02 -quiet -json-out "$tmp" >/dev/null
 go run ./scripts/jsonverify "$tmp"
-# Bloofi differential gate: the same experiment cell with the signature
-# directory disabled (-no-bloofi) must be byte-identical — the directory
-# is a host-side index, never a result change. The randomized in-process
-# differential is TestBloofiMatchesLinear; this catches CLI-level drift.
-bloofitmp="$workdir/export-linear.json"
-go run ./cmd/bfgts-sim -exp speedup -seed 1 -scale 0.02 -quiet -no-bloofi -json-out "$bloofitmp" >/dev/null
-cmp "$tmp" "$bloofitmp"
 # Sharding differential gate: the same experiment cell split across 4
 # engine shards must also be byte-identical — sharding is a host-side
 # execution strategy, never a result change. The randomized in-process
-# differentials are TestEntangledShardedMatchesSequential and
+# differentials are TestShardedFallbackMatchesSequential and
 # TestPartitionedWideMatchesSequential; this catches CLI-level drift.
 shardtmp="$workdir/export-sharded.json"
 go run ./cmd/bfgts-sim -exp speedup -seed 1 -scale 0.02 -quiet -shards 4 -json-out "$shardtmp" >/dev/null
